@@ -353,10 +353,23 @@ def _run_calibrate(args) -> str:
     return render_calibration(model, points)
 
 
+class CommandFailed(Exception):
+    """A command whose report says it failed: :func:`main` prints the
+    report and exits 1."""
+
+    def __init__(self, report: str):
+        super().__init__(report)
+        self.report = report
+
+
 def _run_validate(args) -> str:
     from .experiments.validate import render_validation, run_validation
 
-    return render_validation(run_validation())
+    checks = run_validation()
+    report = render_validation(checks)
+    if not all(check.passed for check in checks):
+        raise CommandFailed(report)
+    return report
 
 
 def _run_simulate(args) -> str:
@@ -686,13 +699,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A run that exhausts its :class:`~repro.robustness.budget.RunBudget`
     prints the reason plus the partial result's summary and exits 1
-    instead of traceback-crashing.
+    instead of traceback-crashing.  A command whose own checks fail
+    (``validate`` with any FAIL line) prints its report and exits 1.
     """
     from .core.errors import BudgetExceededError
 
     args = build_parser().parse_args(argv)
     try:
         output = _COMMANDS[args.command](args)
+    except CommandFailed as exc:
+        print(exc.report)
+        return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial_result is not None:

@@ -630,7 +630,7 @@ def replay_program(kernel, program: SoAProgram):
     return kernel._run_backend(program)
 
 
-def replay_batch(cells):
+def replay_batch(cells, fallbacks: Optional[List[str]] = None):
     """Replay ``(kernel, program)`` cells, batching compatible groups.
 
     When Numba is importable, every JIT-eligible cell joins one
@@ -639,7 +639,8 @@ def replay_batch(cells):
     replays per cell through the tier ladder, so ``backend_used``
     always reports the tier that actually ran.  If the batch raises,
     the affected cells fall back to per-cell replay, which reproduces
-    the canonical diagnostic on the offending cell.
+    the canonical diagnostic on the offending cell; the exception's
+    type name is appended to ``fallbacks`` when a list is passed.
 
     Returns results index-aligned with ``cells``.
     """
@@ -660,10 +661,12 @@ def replay_batch(cells):
                 kernel.backend_used = "jit"
             for i, result in zip(batched, run_programs_jit(group)):
                 results[i] = result
-        except Exception:
+        except Exception as err:
             # Replay per cell below: no kernel was written back (the
             # batch checks every status before any write-back), and the
             # per-cell path re-raises the canonical diagnostic.
+            if fallbacks is not None:
+                fallbacks.append(type(err).__name__)
             results = [None] * len(cells)
     for i, (kernel, program) in enumerate(cells):
         if results[i] is None:

@@ -16,12 +16,13 @@ keep byte-identical.
 """
 
 from .session import (ESTIMATORS, Comparison, EstimatorRun,
-                      ExecutionSession, percent_error)
+                      ExecutionSession, artifact_keys, percent_error)
 
 __all__ = [
     "ESTIMATORS",
     "Comparison",
     "EstimatorRun",
     "ExecutionSession",
+    "artifact_keys",
     "percent_error",
 ]

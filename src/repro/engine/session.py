@@ -17,8 +17,20 @@ everything it needs:
 * the execution-only engine/backend/``iss_engine`` selection defaults
   (never part of any spec hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
-  vs replayed, workload builds, prepass totals) that a long-running
-  service exposes on its ``/v1/stats`` endpoint.
+  vs replayed, ISS runs computed vs reused, workload builds, prepass
+  totals and failures) that a long-running service exposes on its
+  ``/v1/stats`` endpoint;
+* a memo of characterization profiles keyed by workload hash, alive
+  only while one grid is being evaluated (:meth:`ExecutionSession.grid`).
+
+Every store read and write goes through one key function,
+:func:`artifact_keys`: the ``iss`` artifact of a ``"workload"``-kind
+spec lives under the spec's
+:meth:`~repro.scenario.spec.ScenarioSpec.workload_hash`, everything
+else under its ``spec_hash``.  The ISS reads nothing but the workload
+(a budget can only abort a run, and aborted runs are never stored), so
+the cells of a grid that vary only the model, the kernel knobs, the
+fault plan or the memo settings share one ground-truth run.
 
 The contracts the three original call sites enforced are preserved
 verbatim — the method bodies *are* the original code, moved:
@@ -41,12 +53,13 @@ lifetime.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..analytical import characterize, estimate_queueing
 from ..contention.base import ContentionModel
@@ -137,6 +150,50 @@ def _detail_payload(estimator: str, result) -> Optional[Dict]:
     return None
 
 
+def artifact_keys(spec, include: Sequence[str] = ESTIMATORS,
+                  spec_hash: Optional[str] = None) -> Dict[str, str]:
+    """The run-store key of each requested estimator's artifact.
+
+    ``mesh`` and ``analytical`` read every field of the spec, so they
+    are keyed by its ``spec_hash`` (pass it when already computed).
+    The ``iss`` artifact of a ``"workload"``-kind spec is keyed by the
+    spec's :meth:`~repro.scenario.spec.ScenarioSpec.workload_hash`:
+    ``EventEngine(workload, budget=...)`` reads nothing else from the
+    spec, and a budget only ever aborts a run, which is then never
+    stored.  The workload hash is computed only when ``iss`` is
+    requested.
+    """
+    if spec_hash is None:
+        spec_hash = spec.spec_hash()
+    keys = {estimator: spec_hash for estimator in include}
+    if "iss" in keys and spec.kind == "workload":
+        keys["iss"] = spec.workload_hash()
+    return keys
+
+
+def _store_payload(key: str, run: EstimatorRun) -> Dict:
+    """The payload of one estimator run, named by its artifact key.
+
+    Exactly what the session commits to the run store; the service
+    answers cold requests with it too, so warm and cold responses are
+    field-identical.
+    """
+    detail = (run.detail if run.cached
+              else _detail_payload(run.estimator, run.detail))
+    return {"spec_hash": key, "estimator": run.estimator,
+            "queueing_cycles": run.queueing_cycles,
+            "percent_queueing": run.percent_queueing,
+            "wall_seconds": run.wall_seconds, "detail": detail}
+
+
+def _prepass_counters() -> Dict[str, object]:
+    """Zeroed counters of one :meth:`ExecutionSession.prepass` call."""
+    return {"cells_total": 0, "cells_cold": 0, "cells_batched": 0,
+            "cells_skipped": 0, "cells_failed": 0, "batch_fallbacks": 0,
+            "compiles": 0, "program_loads": 0, "backend_used": {},
+            "failures": {}, "wall_seconds": 0.0}
+
+
 def _comparison_cell(kwargs: Dict, workload) -> Comparison:
     """One batch cell: evaluate a single scenario's comparison.
 
@@ -211,11 +268,16 @@ class ExecutionSession:
         self.estimator_runs_cached = 0
         #: Workload IR materializations (zero on full store hits).
         self.workload_builds = 0
+        #: ISS (ground-truth) engine runs actually executed.
+        self.iss_runs_computed = 0
+        #: ISS results answered from the run store instead.
+        self.iss_runs_reused = 0
         #: Accumulated counters over every :meth:`prepass` call.
-        self.prepass_totals: Dict[str, float] = {
-            "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "wall_seconds": 0.0}
+        self.prepass_totals: Dict[str, object] = _prepass_counters()
+        #: workload hash -> characterization profiles, while a
+        #: :meth:`grid` scope is open (``None`` otherwise).
+        self._profiles: Optional[Dict[str, Dict]] = None
+        self._grid_depth = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -269,12 +331,15 @@ class ExecutionSession:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def _absorb(self, comparison: Comparison) -> None:
-        """Fold a worker-evaluated comparison into the counters."""
-        cached = comparison.cached_runs
-        computed = len(comparison.runs) - cached
+    def absorb(self, runs: int, cached: int,
+               iss_cached: Optional[bool] = None) -> None:
+        """Fold one comparison evaluated in a worker process into the
+        counters: ``runs`` estimator runs, ``cached`` of them from the
+        store, and whether its ISS run (if any) was reused."""
         self._count(comparisons=1, estimator_runs_cached=cached,
-                    estimator_runs_computed=computed)
+                    estimator_runs_computed=runs - cached,
+                    iss_runs_reused=int(iss_cached is True),
+                    iss_runs_computed=int(iss_cached is False))
 
     def stats(self) -> Dict[str, object]:
         """Snapshot of session, store, and pool counters (thread-safe)."""
@@ -284,7 +349,12 @@ class ExecutionSession:
                 "estimator_runs_computed": self.estimator_runs_computed,
                 "estimator_runs_cached": self.estimator_runs_cached,
                 "workload_builds": self.workload_builds,
-                "prepass": dict(self.prepass_totals),
+                "iss_runs_computed": self.iss_runs_computed,
+                "iss_runs_reused": self.iss_runs_reused,
+                "prepass": {name: (dict(value)
+                                   if isinstance(value, dict) else value)
+                            for name, value
+                            in self.prepass_totals.items()},
                 "pool": {"jobs": self.jobs,
                          "warm": self._executor is not None},
             }
@@ -297,24 +367,68 @@ class ExecutionSession:
             if isinstance(self._program_store, ProgramStore) else None)
         return snapshot
 
+    # -- the grid scope -----------------------------------------------
+
+    @contextlib.contextmanager
+    def grid(self) -> Iterator[None]:
+        """Scope of one grid evaluation: characterize each workload once.
+
+        While a scope is open, :meth:`comparison` and :meth:`prepass`
+        share one memo of characterization profiles keyed by workload
+        hash, so the cells of a grid that differ only in model or
+        kernel knobs characterize their workload once.  The memo is
+        dropped when the outermost scope closes, so it never outgrows
+        the grid being evaluated.  Scopes nest (the service's drain
+        thread and a caller may overlap).
+        """
+        with self._lock:
+            if self._grid_depth == 0:
+                self._profiles = {}
+            self._grid_depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._grid_depth -= 1
+                if self._grid_depth == 0:
+                    self._profiles = None
+
+    def _characterize(self, workload_key: Optional[str],
+                      build: Callable[[], Workload]) -> Dict:
+        """Profiles of one workload, memoized inside a :meth:`grid`.
+
+        Two threads missing on one key at once both characterize; the
+        results are equal, so the race only repeats deterministic work.
+        """
+        memo = self._profiles
+        if memo is None or workload_key is None:
+            return characterize(build())
+        profiles = memo.get(workload_key)
+        if profiles is None:
+            profiles = memo[workload_key] = characterize(build())
+        return profiles
+
     # -- the store probe ----------------------------------------------
 
-    def probe(self, spec_hash: str,
-              include: Sequence[str] = ESTIMATORS
+    def probe(self, keys: Mapping[str, str]
               ) -> Optional[Dict[str, Dict]]:
-        """All-or-nothing store probe for one spec's estimator payloads.
+        """All-or-nothing store probe for one cell's estimator payloads.
 
-        Returns ``{estimator: payload}`` when **every** requested
-        estimator artifact is present (counting store hits), else
-        ``None``.  This is the warm path of the sweep supervisor and
-        the service: a full hit answers without building anything.
+        ``keys`` maps each requested estimator to its artifact key, as
+        :func:`artifact_keys` derives them.  Returns ``{estimator:
+        payload}`` when **every** artifact is present (counting store
+        hits, and the ISS run as reused), else ``None``.  This is the
+        warm path of the sweep supervisor: a full hit answers without
+        building anything.
         """
         if self.store is None:
             return None
-        payloads = {estimator: self.store.get(spec_hash, estimator)
-                    for estimator in include}
+        payloads = {estimator: self.store.get(key, estimator)
+                    for estimator, key in keys.items()}
         if any(payload is None for payload in payloads.values()):
             return None
+        if "iss" in payloads:
+            self._count(iss_runs_reused=1)
         return payloads
 
     # -- the per-cell sequence ----------------------------------------
@@ -329,18 +443,22 @@ class ExecutionSession:
                    budget=None,
                    memo_cache=None,
                    engine: Optional[str] = None,
-                   backend: Optional[str] = None) -> Comparison:
+                   backend: Optional[str] = None,
+                   store=None) -> Comparison:
         """Evaluate a workload or scenario spec with every estimator.
 
         The canonical per-cell sequence (see
         :func:`~repro.experiments.runner.run_comparison` for the full
-        parameter documentation): probe the session's run store per
-        estimator, run the misses — with the spec-level SoA fallback
-        probe routing spec-visible unsupported features to the object
-        engine before any workload materialization — and commit each
-        computed payload back to the store.  ``engine`` / ``backend`` /
-        ``iss_engine`` default to the session-wide settings when not
-        passed.
+        parameter documentation): probe the run store per estimator
+        under its :func:`artifact_keys` key, run the misses — with the
+        spec-level SoA fallback probe routing spec-visible unsupported
+        features to the object engine before any workload
+        materialization — and commit each computed payload back to the
+        store.  ``engine`` / ``backend`` / ``iss_engine`` default to
+        the session-wide settings when not passed.  ``store`` is
+        another handle on the session's store directory (the sweep's
+        in-process cells use one, so the supervisor's own handle counts
+        its probe alone); it defaults to the session's.
         """
         engine = engine if engine is not None else self.engine
         backend = backend if backend is not None else self.backend
@@ -375,8 +493,13 @@ class ExecutionSession:
             budget = spec.build_budget()
             if memo_cache is None:
                 memo_cache = spec.build_memo()
-        store = self.store if spec is not None else None
-        spec_hash = spec.spec_hash() if spec is not None else None
+        spec_hash = keys = None
+        if spec is not None:
+            store = store if store is not None else self.store
+            spec_hash = spec.spec_hash()
+            keys = artifact_keys(spec, include, spec_hash)
+        else:
+            store = None
 
         # The workload and its characterization profiles are built
         # lazily: a comparison whose every estimator hits the store
@@ -396,8 +519,15 @@ class ExecutionSession:
                 # the characterized zero-contention execution cycles
                 # (excluding idle), identical to the cycle engines'
                 # compute+service total.  The profiles are shared with
-                # the whole-run analytical estimator below.
-                state["profiles"] = characterize(get_workload())
+                # the whole-run analytical estimator below.  A spec
+                # that reaches here builds its workload, so it is
+                # "workload"-kind and its ISS key is its workload hash.
+                workload_key = None
+                if spec is not None:
+                    workload_key = (keys["iss"] if "iss" in keys
+                                    else spec.workload_hash())
+                state["profiles"] = self._characterize(workload_key,
+                                                       get_workload)
             return state["profiles"]
 
         def as_percent(queueing: float) -> float:
@@ -411,7 +541,7 @@ class ExecutionSession:
         computed = cached = 0
         for estimator in include:
             if store is not None:
-                payload = store.get(spec_hash, estimator)
+                payload = store.get(keys[estimator], estimator)
                 if payload is not None:
                     runs[estimator] = EstimatorRun(
                         estimator=estimator,
@@ -486,16 +616,14 @@ class ExecutionSession:
             runs[estimator] = run
             computed += 1
             if store is not None:
-                store.put(spec_hash, estimator, {
-                    "spec_hash": spec_hash,
-                    "estimator": estimator,
-                    "queueing_cycles": run.queueing_cycles,
-                    "percent_queueing": run.percent_queueing,
-                    "wall_seconds": run.wall_seconds,
-                    "detail": _detail_payload(estimator, result),
-                })
+                store.put(keys[estimator], estimator,
+                          _store_payload(keys[estimator], run))
+        iss = runs.get("iss")
         self._count(comparisons=1, estimator_runs_computed=computed,
-                    estimator_runs_cached=cached)
+                    estimator_runs_cached=cached,
+                    iss_runs_computed=int(iss is not None
+                                          and not iss.cached),
+                    iss_runs_reused=int(iss is not None and iss.cached))
         return Comparison(runs=runs, spec_hash=spec_hash)
 
     # -- the grid-granularity sequence --------------------------------
@@ -513,6 +641,11 @@ class ExecutionSession:
         the tier ladder, and committed into the run store with exactly
         the payload :meth:`comparison` would have written (only
         ``wall_seconds``, an environment measurement, differs).
+
+        No failure is silent: a replay group that raises is left to
+        the per-cell path and counted in ``cells_failed``, a batch that
+        fell back to per-cell replay in ``batch_fallbacks``, each with
+        its reason tallied under ``failures``.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -524,10 +657,7 @@ class ExecutionSession:
         backend = backend if backend is not None else self.backend
         if batch_cells is None:
             batch_cells = self.batch_cells
-        counters: Dict[str, object] = {
-            "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "backend_used": {}, "wall_seconds": 0.0}
+        counters = _prepass_counters()
         store = self.store
         if store is None:
             return counters
@@ -540,9 +670,10 @@ class ExecutionSession:
         ordered = sorted(unique.items())
         counters["cells_total"] = len(ordered)
         overrides = {} if backend is None else {"backend": backend}
-        cells = []  # (spec_hash, kernel, program, busy_reference)
+        cells = []  # (key, kernel, program, busy_reference)
         for spec_hash, spec in ordered:
-            if (spec_hash, "mesh") in store:
+            key = artifact_keys(spec, ("mesh",), spec_hash)["mesh"]
+            if (key, "mesh") in store:
                 continue
             counters["cells_cold"] += 1
             if soa_spec_fallback_reason(spec) is not None:
@@ -567,15 +698,18 @@ class ExecutionSession:
                 except UnsupportedFeatureError:
                     counters["cells_skipped"] += 1
                     continue
-                busy_reference = sum(
-                    p.busy_cycles
-                    for p in characterize(workload).values())
+                profiles = self._characterize(spec.workload_hash(),
+                                              lambda: workload)
+                busy_reference = sum(p.busy_cycles
+                                     for p in profiles.values())
                 program_store.put(phash, program,
                                   {"spec_hash": spec_hash,
                                    "busy_reference": busy_reference})
                 program_store.record_compile()
                 counters["compiles"] += 1
-            cells.append((spec_hash, kernel, program, busy_reference))
+            cells.append((key, kernel, program, busy_reference))
+        failures: Dict[str, int] = counters["failures"]
+        fallbacks: List[str] = []
         chunk = len(cells) if batch_cells <= 0 else int(batch_cells)
         for lo in range(0, len(cells), max(chunk, 1)):
             group = cells[lo:lo + chunk]
@@ -583,33 +717,43 @@ class ExecutionSession:
             try:
                 results = replay_batch(
                     [(kernel, program)
-                     for _, kernel, program, _ in group])
-            except Exception:
+                     for _, kernel, program, _ in group],
+                    fallbacks=fallbacks)
+            except Exception as err:
                 # Leave these cells cold: the per-cell path reproduces
                 # the canonical diagnostic with full error capture.
+                counters["cells_failed"] += len(group)
+                reason = f"replay: {type(err).__name__}"
+                failures[reason] = failures.get(reason, 0) + len(group)
                 continue
             per_cell = (time.perf_counter() - group_start) / len(group)
             tally: Dict[str, int] = counters["backend_used"]
-            for (spec_hash, kernel, _program, busy_reference), result \
+            for (key, kernel, _program, busy_reference), result \
                     in zip(group, results):
                 queueing = result.queueing_cycles
-                percent = (100.0 * queueing / busy_reference
-                           if busy_reference > 0 else 0.0)
-                store.put(spec_hash, "mesh", {
-                    "spec_hash": spec_hash,
-                    "estimator": "mesh",
-                    "queueing_cycles": queueing,
-                    "percent_queueing": percent,
-                    "wall_seconds": per_cell,
-                    "detail": _detail_payload("mesh", result),
-                })
+                run = EstimatorRun(
+                    estimator="mesh", queueing_cycles=queueing,
+                    percent_queueing=(100.0 * queueing / busy_reference
+                                      if busy_reference > 0 else 0.0),
+                    wall_seconds=per_cell, detail=result)
+                store.put(key, "mesh", _store_payload(key, run))
                 counters["cells_batched"] += 1
                 tier = kernel.backend_used or "interp"
                 tally[tier] = tally.get(tier, 0) + 1
+        counters["batch_fallbacks"] = len(fallbacks)
+        for name in fallbacks:
+            failures[f"batch: {name}"] = \
+                failures.get(f"batch: {name}", 0) + 1
         counters["wall_seconds"] = time.perf_counter() - start
         with self._lock:
-            for name in self.prepass_totals:
-                self.prepass_totals[name] += counters[name]
+            totals = self.prepass_totals
+            for name, value in counters.items():
+                if isinstance(value, dict):
+                    for item, count in value.items():
+                        totals[name][item] = \
+                            totals[name].get(item, 0) + count
+                else:
+                    totals[name] += value
         return counters
 
     # -- the batch sequence -------------------------------------------
@@ -633,10 +777,6 @@ class ExecutionSession:
             batch_cells = self.batch_cells
         all_specs = items and not any(isinstance(item, Workload)
                                       for item in items)
-        if (batch_cells and self.store is not None and all_specs
-                and "mesh" in kwargs.get("include", ESTIMATORS)):
-            self.prepass(items, batch_cells=max(batch_cells, 0),
-                         backend=kwargs.get("backend"))
         cell_kwargs = dict(kwargs)
         cell_kwargs.setdefault("engine", self.engine)
         cell_kwargs.setdefault("backend", self.backend)
@@ -649,12 +789,21 @@ class ExecutionSession:
             # counters (workload builds included) for the service.
             cell_kwargs["session"] = self
         fn = functools.partial(_comparison_cell, cell_kwargs)
-        if all_specs:
-            results = executor.map_specs(fn, items)
-        else:
-            results = executor.map(fn, items)
+        with self.grid():
+            if (batch_cells and self.store is not None and all_specs
+                    and "mesh" in kwargs.get("include", ESTIMATORS)):
+                self.prepass(items, batch_cells=max(batch_cells, 0),
+                             backend=kwargs.get("backend"))
+            if all_specs:
+                results = executor.map_specs(fn, items)
+            else:
+                results = executor.map(fn, items)
         if not serial:
             for result in results:
                 if result.ok:
-                    self._absorb(result.value)
+                    comparison = result.value
+                    iss = comparison.runs.get("iss")
+                    self.absorb(len(comparison.runs),
+                                comparison.cached_runs,
+                                iss.cached if iss is not None else None)
         return results

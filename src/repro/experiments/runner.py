@@ -125,9 +125,11 @@ def run_comparison(workload,
     store:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  Requires a spec: estimator results are looked up by
-        ``(spec_hash, estimator)`` before running anything and written
-        back after a miss.  When every requested estimator hits, the
-        comparison completes without building the workload at all.
+        their :func:`~repro.engine.session.artifact_keys` key (the
+        ``spec_hash``; the workload hash for ``iss``) before running
+        anything and written back after a miss.  When every requested
+        estimator hits, the comparison completes without building the
+        workload at all.
     """
     session = ExecutionSession(store=store)
     return session.comparison(workload, model=model,
@@ -188,18 +190,12 @@ def batched_mesh_prepass(specs: Sequence, store,
 
     Returns a counter mapping: ``cells_total`` (unique eligible specs),
     ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
-    (outside the compiled subset), ``compiles``, ``program_loads``,
-    ``backend_used`` (per-tier tally of the replays), and
-    ``wall_seconds``.
+    (outside the compiled subset), ``cells_failed`` (in a replay group
+    that raised), ``batch_fallbacks`` (batches replayed per cell
+    instead), ``failures`` (reason -> count), ``compiles``,
+    ``program_loads``, ``backend_used`` (per-tier tally of the
+    replays), and ``wall_seconds``.
     """
-    from ..scenario.store import as_store
-
-    store = as_store(store)
-    if store is None:
-        return {
-            "cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "compiles": 0, "program_loads": 0,
-            "backend_used": {}, "wall_seconds": 0.0}
     session = ExecutionSession(store=store, program_store=program_store,
                                backend=backend)
     return session.prepass(specs, batch_cells=batch_cells)

@@ -70,6 +70,21 @@ def _plain(value, context: str, path: str = ""):
     )
 
 
+#: One shared encoder: ``json.dumps`` with non-default options builds
+#: a new encoder per call, which is a sixth of a spec hash's cost.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical(document: Mapping) -> str:
+    """Deterministic JSON encoding (sorted keys, no whitespace)."""
+    return _ENCODER.encode(document)
+
+
+def _digest(text: str) -> str:
+    """SHA-256 hex digest of ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _check_unknown(data: Mapping, allowed, what: str,
                    path: str = "") -> None:
     """Reject unknown mapping keys with a precise error message."""
@@ -517,13 +532,25 @@ class ScenarioSpec:
 
     def canonical_json(self) -> str:
         """Deterministic JSON encoding (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return _canonical(self.to_dict())
 
     def spec_hash(self) -> str:
         """SHA-256 hex digest of the canonical JSON — the content address."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")).hexdigest()
+        return _digest(self.canonical_json())
+
+    def workload_hash(self) -> str:
+        """SHA-256 of the canonical JSON of ``{generator, params}`` only.
+
+        The content address of the workload alone: every other field
+        (models, kernel knobs, fault plan, budget, memo) is left out.
+        A spec that sets nothing but its generator and params has
+        exactly this document, so its workload hash equals its
+        :meth:`spec_hash`.
+        """
+        document: Dict[str, object] = {"generator": self.generator}
+        if self.params:
+            document["params"] = dict(self.params)
+        return _digest(_canonical(document))
 
     # -- materialization ----------------------------------------------
 

@@ -20,12 +20,15 @@ stdlib ``asyncio`` framing, no new dependencies:
       :class:`~repro.core.errors.SpecValidationError` JSON-pointer
       path.
     * **store probe** — warm requests (every requested estimator
-      already in the run store by ``spec_hash``) are answered straight
-      from the store: zero workload builds, zero kernel runs.
+      already in the run store under its
+      :func:`~repro.engine.session.artifact_keys` key: the
+      ``spec_hash``, or the workload hash for ``iss``) are answered
+      straight from the store: zero workload builds, zero kernel runs.
     * **coalesce** — cold work is single-flight-coalesced per
-      ``(spec_hash, estimator)``
+      ``(artifact key, estimator)``
       (:class:`~repro.service.coalesce.SingleFlight`): N concurrent
-      identical cold requests cost exactly one kernel run.
+      identical cold requests cost exactly one kernel run, and
+      requests that differ only in model share one ISS run.
     * **session** — leaders enqueue their spec; a drain task collects
       everything pending and runs it as *one batch* through
       :meth:`ExecutionSession.map_comparisons` (SoA prepass included)
@@ -42,7 +45,8 @@ stdlib ``asyncio`` framing, no new dependencies:
 ``GET /v1/stats``
     Counters: service request/warm/cold/timeout tallies, coalescing
     leads/joins, quota admissions/rejections, and the full session
-    snapshot (store, program store, pool, prepass).
+    snapshot (store, program store, pool, ISS runs computed/reused,
+    prepass counters and failures).
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, SpecValidationError
-from ..engine.session import ESTIMATORS, ExecutionSession, _detail_payload
+from ..engine.session import (ESTIMATORS, ExecutionSession,
+                              _store_payload, artifact_keys)
 from ..robustness.budget import RunBudget
 from ..scenario.spec import ScenarioSpec
 
@@ -179,28 +184,32 @@ class AnalyzeService:
                                       specs, include=include))
             except Exception as err:  # pool torn down / session gone
                 self.counters["batch_errors"] += 1
-                for spec_hash, (_spec, claimed) in batch.items():
+                for spec_hash, (spec, claimed) in batch.items():
+                    keys = artifact_keys(spec, claimed, spec_hash)
                     for estimator in claimed:
-                        self.flight.fail((spec_hash, estimator),
+                        self.flight.fail((keys[estimator], estimator),
                                          RuntimeError(str(err)))
                 continue
             self.counters["batches_drained"] += 1
             self.counters["cells_drained"] += len(batch)
-            for (spec_hash, (_spec, claimed)), result in zip(
+            for (spec_hash, (spec, claimed)), result in zip(
                     batch.items(), results):
+                keys = artifact_keys(spec, claimed, spec_hash)
                 if result is not None and result.ok:
                     comparison = result.value
                     for estimator in claimed:
+                        run = comparison.runs[estimator]
                         self.flight.resolve(
-                            (spec_hash, estimator),
-                            _run_payload(spec_hash,
-                                         comparison.runs[estimator]))
+                            (keys[estimator], estimator),
+                            dict(_store_payload(keys[estimator], run),
+                                 cached=run.cached))
                 else:
                     error = RuntimeError(
                         result.error if result is not None
                         else "cell was skipped")
                     for estimator in claimed:
-                        self.flight.fail((spec_hash, estimator), error)
+                        self.flight.fail((keys[estimator], estimator),
+                                         error)
 
     # -- the analyze lifecycle ----------------------------------------
 
@@ -257,18 +266,22 @@ class AnalyzeService:
                 f"deadline_seconds must be a positive number, "
                 f"got {deadline!r}", "/deadline_seconds")
         spec_hash = spec.spec_hash()
+        keys = artifact_keys(spec, include, spec_hash)
 
         store = self.session.store
         runs: Dict[str, Dict] = {}
         waiting: Dict[str, asyncio.Future] = {}
         lead: Set[str] = set()
         for estimator in include:
-            payload = (store.get(spec_hash, estimator)
+            payload = (store.get(keys[estimator], estimator)
                        if store is not None else None)
             if payload is not None:
                 runs[estimator] = dict(payload, cached=True)
                 continue
-            future, leader = self.flight.claim((spec_hash, estimator))
+            # Keyed like the artifact: requests that differ only in
+            # model share one in-flight ISS run.
+            future, leader = self.flight.claim((keys[estimator],
+                                                estimator))
             waiting[estimator] = future
             if leader:
                 lead.add(estimator)
@@ -443,22 +456,6 @@ class AnalyzeService:
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
                      + blob)
         await writer.drain()
-
-
-def _run_payload(spec_hash: str, run) -> Dict:
-    """One estimator's response payload from its :class:`EstimatorRun`.
-
-    Exactly the mapping :meth:`ExecutionSession.comparison` committed
-    to the store (plus the ``cached`` flag), so warm and cold responses
-    are field-identical.
-    """
-    detail = (run.detail if run.cached
-              else _detail_payload(run.estimator, run.detail))
-    return {"spec_hash": spec_hash, "estimator": run.estimator,
-            "queueing_cycles": run.queueing_cycles,
-            "percent_queueing": run.percent_queueing,
-            "wall_seconds": run.wall_seconds, "detail": detail,
-            "cached": run.cached}
 
 
 class ServiceHandle:

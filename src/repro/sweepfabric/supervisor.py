@@ -42,11 +42,10 @@ import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError
-from ..engine.session import ExecutionSession
-from ..experiments.runner import ESTIMATORS, run_comparison
+from ..engine.session import ESTIMATORS, ExecutionSession, artifact_keys
 from ..perf.parallel import TIMEOUT_TAG, ParallelExecutor
 from ..robustness.budget import RunBudget
 from ..robustness.faults import RetryPolicy
@@ -167,6 +166,11 @@ class SweepResult:
              f"corrupt={self.store_stats['corrupt']} "
              f"tmp_swept={self.store_stats['tmp_swept']}"),
         ]
+        if c.get("workloads"):
+            lines.append(
+                f"  ground truth: {c['iss_runs_computed']} ISS runs "
+                f"computed, {c['iss_runs_reused']} reused "
+                f"({c['workloads']} workloads)")
         lines.extend(self._tally_lines())
         if self.prepass:
             p = self.prepass
@@ -174,7 +178,11 @@ class SweepResult:
                 f"  batched prepass: warmed {p['cells_batched']} "
                 f"cell(s), compiles={p['compiles']} "
                 f"program_loads={p['program_loads']} "
-                f"skipped={p['cells_skipped']}")
+                f"skipped={p['cells_skipped']} "
+                f"failed={p['cells_failed']} "
+                f"batch_fallbacks={p['batch_fallbacks']}")
+            for reason, count in sorted(p["failures"].items()):
+                lines.append(f"    prepass failure: {reason} x{count}")
         if c.get("cells_stolen"):
             lines.append(f"  work stealing recovered "
                          f"{c['cells_stolen']} straggler cell(s)")
@@ -222,8 +230,12 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
 
     Module-level so the pool can import it.  Opens its own store handle
     (no tmp sweep — short-lived handles must not race live writers),
-    lets :func:`run_comparison` replay whatever is already stored, and
-    returns a small JSON-plain ack with the exact payload numbers.
+    lets :meth:`ExecutionSession.comparison` replay whatever is already
+    stored, and returns a small JSON-plain ack with the exact payload
+    numbers.  On the serial in-process path the supervisor's session
+    rides along under ``"session"``, so its counters stay exact and its
+    grid memo characterizes each workload once; worker processes use an
+    ephemeral session.
     """
     spec_hash = spec.spec_hash()
     if os.getpid() != config["supervisor_pid"]:
@@ -233,9 +245,11 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
     store = RunStore(config["store_root"],
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
-    comparison = run_comparison(spec, include=include, store=store,
-                                engine=config.get("engine"),
-                                backend=config.get("backend"))
+    session = config.get("session") or ExecutionSession()
+    comparison = session.comparison(spec, include=include, store=store,
+                                    engine=config.get("engine"),
+                                    backend=config.get("backend"))
+    iss = comparison.runs.get("iss")
     mesh_engine = mesh_backend = None
     mesh = comparison.runs.get("mesh")
     if mesh is not None:
@@ -247,6 +261,7 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
     return {
         "spec_hash": spec_hash,
         "cached_runs": comparison.cached_runs,
+        "iss_cached": iss.cached if iss is not None else None,
         "mesh_engine": mesh_engine,
         "mesh_backend": mesh_backend,
         "runs": {
@@ -292,8 +307,8 @@ class SweepSupervisor:
         #: The execution facade this sweep routes through: it owns the
         #: run store, the companion program store, and the engine /
         #: backend selection shared by the probe, the batched prepass,
-        #: and (transitively, via :func:`run_comparison` in the worker
-        #: cells) every dispatched cell.
+        #: and every dispatched cell (in-process cells evaluate through
+        #: it directly; worker processes through an ephemeral session).
         self.session = ExecutionSession(store=store,
                                         program_store=program_store,
                                         engine=engine, backend=backend,
@@ -333,6 +348,8 @@ class SweepSupervisor:
         self.manifest = self._open_manifest(manifest_path, resume)
         self._outcomes: Dict[int, CellOutcome] = {}
         self._steal_queue: List[int] = []
+        #: Distinct ISS artifact keys of the grid (one per workload).
+        self._iss_keys: Set[str] = set()
 
     def _open_manifest(self, path, resume: bool) -> ShardManifest:
         if resume and os.path.exists(path):
@@ -356,7 +373,11 @@ class SweepSupervisor:
         prove a resumed sweep recomputed nothing already done.
         """
         for index, spec_hash in enumerate(self.plan.spec_hashes):
-            payloads = self.session.probe(spec_hash, self.include)
+            keys = artifact_keys(self.plan.specs[index], self.include,
+                                 spec_hash)
+            if "iss" in keys:
+                self._iss_keys.add(keys["iss"])
+            payloads = self.session.probe(keys)
             if payloads is not None:
                 self._outcomes[index] = CellOutcome(
                     index=index, spec_hash=spec_hash, source="cache",
@@ -390,7 +411,10 @@ class SweepSupervisor:
         Returns ``(cell_index, error)`` pairs for the cells that did
         not complete this round.
         """
-        fn = functools.partial(_fabric_cell, self._cell_config())
+        config = self._cell_config()
+        if executor.serial:
+            config["session"] = self.session
+        fn = functools.partial(_fabric_cell, config)
         specs = [self.plan.specs[index] for index in cell_indices]
         results = executor.map_specs(fn, specs,
                                      timeout=self.cell_timeout)
@@ -398,6 +422,10 @@ class SweepSupervisor:
         for index, result in zip(cell_indices, results):
             if result.ok:
                 ack = result.value
+                if not executor.serial:
+                    self.session.absorb(len(ack["runs"]),
+                                        ack["cached_runs"],
+                                        ack["iss_cached"])
                 self._outcomes[index] = CellOutcome(
                     index=index, spec_hash=ack["spec_hash"],
                     source="computed", runs=ack["runs"],
@@ -559,15 +587,17 @@ class SweepSupervisor:
                 "chaos kills need jobs != 1: the serial in-process "
                 "path cannot SIGKILL a worker (there is none), so the "
                 "kill plan would silently not exercise anything")
-        if self.batch_cells and "mesh" in self.include:
-            self.prepass_counters = self.session.prepass(
-                self.plan.specs,
-                batch_cells=max(self.batch_cells, 0))
-        self._probe()
         try:
-            for shard in self.plan.shards:
-                self._run_shard(executor, shard)
-            stolen = self._steal(executor) if self._steal_queue else 0
+            with self.session.grid():
+                if self.batch_cells and "mesh" in self.include:
+                    self.prepass_counters = self.session.prepass(
+                        self.plan.specs,
+                        batch_cells=max(self.batch_cells, 0))
+                self._probe()
+                for shard in self.plan.shards:
+                    self._run_shard(executor, shard)
+                stolen = (self._steal(executor) if self._steal_queue
+                          else 0)
         finally:
             if owns_executor:
                 self.session.close()
@@ -596,6 +626,9 @@ class SweepSupervisor:
             "estimator_runs_total": runs_total,
             "estimator_runs_cached": runs_cached,
             "estimator_runs_recomputed": runs_total - runs_cached,
+            "iss_runs_computed": self.session.iss_runs_computed,
+            "iss_runs_reused": self.session.iss_runs_reused,
+            "workloads": len(self._iss_keys),
             "attempts_total": sum(
                 record.attempts
                 for record in self.manifest.records.values()),

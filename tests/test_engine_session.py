@@ -24,7 +24,7 @@ import pytest
 
 from repro.analytical import characterize, estimate_queueing
 from repro.cycle import EventEngine
-from repro.engine import ESTIMATORS, ExecutionSession
+from repro.engine import ESTIMATORS, ExecutionSession, artifact_keys
 from repro.experiments.runner import run_comparison
 from repro.scenario import ScenarioSpec
 from repro.scenario.store import RunStore
@@ -58,12 +58,20 @@ def spec_for(generator, seed, model, mts, memo) -> ScenarioSpec:
     )
 
 
+def artifact_key(spec: ScenarioSpec, estimator: str) -> str:
+    """Where an estimator's artifact lives: ``iss`` under the workload
+    hash (the ISS reads nothing else), the rest under the spec hash."""
+    if estimator == "iss":
+        return spec.workload_hash()
+    return spec.spec_hash()
+
+
 def reference_payloads(spec: ScenarioSpec) -> dict:
     """The pre-refactor ``run_comparison`` body, inlined estimator by
-    estimator, producing exactly the payloads it committed."""
+    estimator, producing exactly the payloads it committed (each named
+    by the key it is stored under)."""
     from repro.engine.session import _detail_payload
 
-    spec_hash = spec.spec_hash()
     model = spec.build_model()
     budget = spec.build_budget()
     memo_cache = spec.build_memo()
@@ -74,7 +82,7 @@ def reference_payloads(spec: ScenarioSpec) -> dict:
     def payload(estimator, queueing, result):
         percent = 100.0 * queueing / busy if busy > 0 else 0.0
         return {
-            "spec_hash": spec_hash,
+            "spec_hash": artifact_key(spec, estimator),
             "estimator": estimator,
             "queueing_cycles": queueing,
             "percent_queueing": percent,
@@ -118,7 +126,8 @@ class TestGoldenEquivalence:
         reference = reference_payloads(spec)
         assert set(comparison.runs) == set(ESTIMATORS)
         for estimator in ESTIMATORS:
-            committed = store.get(spec.spec_hash(), estimator)
+            committed = store.get(artifact_key(spec, estimator),
+                                  estimator)
             assert committed is not None
             assert canonical(committed) == canonical(
                 reference[estimator])
@@ -141,8 +150,9 @@ class TestGoldenEquivalence:
         for estimator in ESTIMATORS:
             assert (legacy.runs[estimator].queueing_cycles
                     == facade.runs[estimator].queueing_cycles)
-            assert canonical(store_a.get(spec.spec_hash(), estimator)) \
-                == canonical(store_b.get(spec.spec_hash(), estimator))
+            key = artifact_key(spec, estimator)
+            assert canonical(store_a.get(key, estimator)) \
+                == canonical(store_b.get(key, estimator))
 
 
 class TestZeroBuildWarmPath:
@@ -180,19 +190,19 @@ class TestProbe:
         spec = spec_for("uniform", 0, "chenlin", 0.0, None)
         store = RunStore(tmp_path / "store")
         session = ExecutionSession(store=store)
-        spec_hash = spec.spec_hash()
-        assert session.probe(spec_hash) is None
+        keys = artifact_keys(spec)
+        assert session.probe(keys) is None
         session.comparison(spec, include=("mesh",))
         # Partial coverage: the full-estimator probe still misses.
-        assert session.probe(spec_hash) is None
-        assert session.probe(spec_hash, include=("mesh",)) is not None
+        assert session.probe(keys) is None
+        assert session.probe(artifact_keys(spec, ("mesh",))) is not None
         session.comparison(spec)
-        payloads = session.probe(spec_hash)
+        payloads = session.probe(keys)
         assert payloads is not None
         assert set(payloads) == set(ESTIMATORS)
 
     def test_probe_without_store_is_none(self):
-        assert ExecutionSession().probe("deadbeef") is None
+        assert ExecutionSession().probe({"mesh": "deadbeef"}) is None
 
 
 class TestCounters:

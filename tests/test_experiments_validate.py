@@ -25,3 +25,14 @@ class TestValidation:
         assert code == 0
         out = capsys.readouterr().out
         assert "7/7 checks passed" in out
+
+    def test_cli_exits_1_when_a_check_fails(self, capsys, monkeypatch):
+        from repro.experiments import validate
+
+        monkeypatch.setattr(validate, "run_validation", lambda: [
+            Check("good", True, "fine"), Check("bad", False, "broken")])
+        code = main(["validate"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] bad" in out
+        assert "1/2 checks passed" in out
