@@ -65,14 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
              "object engine, with a recorded reason, for unsupported "
              "features); execution-only — never changes spec hashes "
              "or results")
-    engine.add_argument(
-        "--backend", default=None,
-        choices=("auto", "jit", "numpy", "interp"),
-        help="SoA replay backend preference (with --engine soa): "
-             "'auto' cascades jit -> numpy -> interp, taking the "
-             "fastest tier whose exact subset covers the compiled "
-             "program; naming a tier starts the cascade there; all "
-             "tiers are bit-identical and fallbacks record a reason")
 
     batching = argparse.ArgumentParser(add_help=False)
     batching.add_argument(
@@ -283,8 +275,7 @@ def _run_fig4(args) -> str:
                     proc_counts=tuple(args.procs), points=args.points,
                     jobs=getattr(args, "jobs", 1),
                     store=getattr(args, "cache_dir", None),
-                    engine=getattr(args, "engine", None),
-                    backend=getattr(args, "backend", None))
+                    engine=getattr(args, "engine", None))
     return render_fig4(rows)
 
 
@@ -299,8 +290,7 @@ def _run_fig5(args) -> str:
                     idle_fractions=(0.06, args.idle),
                     jobs=getattr(args, "jobs", 1),
                     store=getattr(args, "cache_dir", None),
-                    engine=getattr(args, "engine", None),
-                    backend=getattr(args, "backend", None))
+                    engine=getattr(args, "engine", None))
     return render_fig5(rows)
 
 
@@ -308,14 +298,12 @@ def _run_fig6(args) -> str:
     jobs = getattr(args, "jobs", 1)
     store = getattr(args, "cache_dir", None)
     engine = getattr(args, "engine", None)
-    backend = getattr(args, "backend", None)
     if args.quick:
         rows = run_fig6(idle_sweep=(0.0, 0.45, 0.90), bus_delays=(8,),
                         seeds=(1,), jobs=jobs, store=store,
-                        engine=engine, backend=backend)
+                        engine=engine)
     else:
-        rows = run_fig6(jobs=jobs, store=store, engine=engine,
-                        backend=backend)
+        rows = run_fig6(jobs=jobs, store=store, engine=engine)
     return render_fig6(rows)
 
 
@@ -330,7 +318,6 @@ def _run_all(args) -> str:
         jobs = getattr(args, "jobs", 1)
         cache_dir = getattr(args, "cache_dir", None)
         engine = getattr(args, "engine", None)
-        backend = getattr(args, "backend", None)
 
     parts = []
     for cache_kb in (512, 8):
@@ -460,9 +447,7 @@ def _run_report(args) -> str:
                                      jobs=getattr(args, "jobs", 1),
                                      store=cache_dir,
                                      engine=getattr(args, "engine",
-                                                    None),
-                                     backend=getattr(args, "backend",
-                                                     None))
+                                                    None))
     by_path = dict(zip(specs, cells))
     rows = []
     cached_runs = 0
@@ -512,8 +497,7 @@ def _run_run(args) -> str:
                else (args.estimator,))
     comparison = run_comparison(spec, include=include,
                                 store=getattr(args, "cache_dir", None),
-                                engine=getattr(args, "engine", None),
-                                backend=getattr(args, "backend", None))
+                                engine=getattr(args, "engine", None))
     lines = [f"spec: {args.spec}",
              f"spec hash: {comparison.spec_hash}"]
     for name in include:
@@ -602,7 +586,6 @@ def _run_sweep(args) -> str:
         shard_budget=args.shard_timeout,
         cell_timeout=args.cell_timeout, chaos=chaos,
         engine=getattr(args, "engine", None),
-        backend=getattr(args, "backend", None),
         batch_cells=getattr(args, "batch_cells", 0))
     return result.summary()
 
@@ -667,7 +650,6 @@ def _run_serve(args) -> str:
         store=getattr(args, "cache_dir", None),
         jobs=getattr(args, "jobs", 1),
         engine=getattr(args, "engine", None),
-        backend=getattr(args, "backend", None),
         batch_cells=args.batch_cells,
         deadline_seconds=args.deadline_seconds,
         quota_capacity=args.quota_capacity,

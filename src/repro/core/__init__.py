@@ -22,7 +22,6 @@ from .events import (Acquire, BarrierWait, CondNotify, CondWait, Consume,
                      sem_acquire, sem_release, spawn)
 from .export import (cycle_result_to_dict, gantt_rows, result_to_dict,
                      save_json, trace_to_events)
-from .jit import jit_replay_reason, numba_available, run_program_jit
 from .kernel import HybridKernel
 from .region import AnnotationRegion
 from .resource import Processor
@@ -30,8 +29,7 @@ from .scheduler import (ExecutionScheduler, FifoScheduler,
                         LeastLoadedScheduler, PinnedScheduler,
                         PriorityScheduler, RoundRobinScheduler)
 from .shared import SharedResource
-from .soa import (SoAKernelEngine, numpy_replay_reason, run_program,
-                  run_program_numpy)
+from .soa import SoAKernelEngine, run_program
 from .stats import (ProcessorStats, ResourceStats, SimulationResult,
                     ThreadStats)
 from .sync import Barrier, ConditionVariable, Mutex, Semaphore
@@ -54,9 +52,8 @@ __all__ = [
     "ProcessorStats", "ResourceStats", "SimulationResult", "ThreadStats",
     "ThreadState", "TraceEvent", "TraceLog",
     "acquire", "barrier_wait", "cond_notify", "cond_wait", "compile_kernel",
-    "consume", "cycle_result_to_dict", "gantt_rows", "jit_replay_reason",
-    "numba_available", "numpy_available", "numpy_replay_reason",
-    "release", "result_to_dict", "run_program", "run_program_jit",
-    "run_program_numpy", "save_json", "sem_acquire", "sem_release",
+    "consume", "cycle_result_to_dict", "gantt_rows", "numpy_available",
+    "release", "result_to_dict", "run_program", "save_json",
+    "sem_acquire", "sem_release",
     "soa_spec_fallback_reason", "spawn", "trace_to_events",
 ]

@@ -128,7 +128,7 @@ class SoAProgram:
         "resource_fast", "min_timeslice", "processor_powers",
         "processor_names", "registered_regions", "has_bursts",
         "thread_ops", "barriers", "barrier_parties", "mutexes",
-        "has_sync", "jit_cache", "numpy_segments",
+        "has_sync",
     )
 
     def __init__(self) -> None:
@@ -186,13 +186,6 @@ class SoAProgram:
         #: Whether any op stream contains a sync opcode (selects the
         #: sync-aware scheduling path in the runtime).
         self.has_sync: bool = False
-        #: CSR array bundle built lazily by :func:`repro.core.jit._lower`
-        #: — immutable static program data shared across replays.
-        self.jit_cache = None
-        #: Precomputed segment boundaries for the pure-NumPy tier
-        #: (:func:`compute_numpy_segments`), or ``None`` when the
-        #: program's static shape is outside that tier's subset.
-        self.numpy_segments = None
 
 
 def compile_kernel(kernel) -> SoAProgram:
@@ -408,71 +401,7 @@ def compile_kernel(kernel) -> SoAProgram:
             raise UnsupportedFeatureError(
                 f"mutex {mutex.name!r} that starts held or contended"
             )
-    program.numpy_segments = compute_numpy_segments(program)
     return program
-
-
-def compute_numpy_segments(program: SoAProgram):
-    """Hoist the NumPy tier's segment boundaries out of the replay.
-
-    :func:`repro.core.soa.run_program_numpy` only ever runs on the
-    pure-compute static subset (no accesses, no sync, distinct pins,
-    zero release times, zero start clock — enforced by
-    ``numpy_replay_reason``), which makes every array it derives a pure
-    function of the program: per-thread prefix-sum region ends starting
-    from ``now == 0.0``, the merged sorted commit times, and their
-    unique values.  Computing them once at compile time (and again on a
-    :class:`~repro.core.programstore.ProgramStore` load) removes the
-    recomputation from every warm replay and gives the batched grid
-    replayer the precomputed form it stacks.
-
-    Returns ``None`` when the program's static shape is outside the
-    tier's subset (the runtime check remains authoritative — it also
-    inspects live kernel state the compile pass cannot see).  The float
-    operations are exactly the replay's own (``np.cumsum`` over the
-    same float64 arrays), so consuming the precomputed values is
-    bit-identical to inline recomputation.
-    """
-    if _np is None:  # pragma: no cover - compile already requires NumPy
-        return None
-    if program.has_sync or program.registered_regions > 0:
-        return None
-    affinities = program.thread_affinity
-    if any(a is None for a in affinities) \
-            or len(set(affinities)) != len(affinities):
-        return None
-    if any(release != 0.0 for release in program.thread_release):
-        return None
-    if not all(power > 0.0 and _np.isfinite(power)
-               for power in program.processor_powers):
-        return None
-    per_thread: List[Optional[Tuple[float, float]]] = []
-    all_ends = []
-    for t in range(len(program.thread_names)):
-        if not program.region_counts[t]:
-            per_thread.append(None)
-            continue
-        durations = program.region_durations[t]
-        if durations is None:  # pragma: no cover - distinct pins are static
-            return None
-        d = _np.asarray(durations, dtype=_np.float64)
-        if not _np.isfinite(d).all():
-            return None
-        ends = _np.cumsum(d)
-        starts = _np.empty_like(ends)
-        starts[0] = 0.0
-        starts[1:] = ends[:-1]
-        per_thread.append((float(_np.cumsum(ends - starts)[-1]),
-                           float(ends[-1])))
-        all_ends.append(ends)
-    if all_ends:
-        commits = _np.sort(_np.concatenate(all_ends))
-        unique = _np.unique(commits)
-    else:
-        commits = _np.zeros(0, dtype=_np.float64)
-        unique = commits
-    return {"per_thread": per_thread, "commits": commits,
-            "unique": unique}
 
 
 #: Event types the op-stream lowering understands (exact types only —

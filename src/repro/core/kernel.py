@@ -111,27 +111,14 @@ class HybridKernel:
         route back to the object engine automatically;
         :attr:`engine_used` and :attr:`engine_fallback_reason` record
         the routing on the kernel and on the result — never silent.
-    backend:
-        Which replay backend executes a successfully compiled SoA
-        program.  ``"auto"`` (default) cascades down the tier ladder —
-        ``jit`` (numba-compiled commit loop,
-        :mod:`repro.core.jit`) → ``numpy`` (vectorized segmented
-        replay of pure-compute static programs) → ``interp`` (the
-        pure-Python array loop) — taking the fastest tier whose exact
-        subset covers the program.  Naming a tier makes it the
-        *preferred* tier: the cascade starts there and still falls
-        through to the tiers below when the program or the
-        environment (no numba) rules it out.  All tiers are
-        bit-identical; :attr:`backend_used` and
-        :attr:`backend_fallback_reason` record the selection — one
-        ``tier: reason`` clause per skipped tier, never silent.
-        Ignored (left ``None``) when the object engine runs.
+        A compiled program always replays on the interpreted array
+        loop (:func:`repro.core.soa.run_program`), reported as
+        :attr:`backend_used` ``"interp"``.
     """
 
     SYNC_POLICIES = ("eager", "deferred")
     SLICE_ACCOUNTING = ("incremental", "rescan")
     ENGINES = ("object", "soa")
-    BACKENDS = ("auto", "jit", "numpy", "interp")
 
     def __init__(self, processors: Sequence[Processor],
                  shared_resources: Iterable[SharedResource] = (),
@@ -144,8 +131,7 @@ class HybridKernel:
                  memo_cache=None,
                  slice_accounting: str = "incremental",
                  batch_analysis: bool = True,
-                 engine: str = "object",
-                 backend: str = "auto"):
+                 engine: str = "object"):
         if sync_policy not in self.SYNC_POLICIES:
             raise ConfigurationError(
                 f"unknown sync_policy {sync_policy!r}; choose from "
@@ -154,10 +140,6 @@ class HybridKernel:
         if engine not in self.ENGINES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
-        if backend not in self.BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {self.BACKENDS}"
             )
         if slice_accounting not in self.SLICE_ACCOUNTING:
             raise ConfigurationError(
@@ -168,19 +150,15 @@ class HybridKernel:
         self._incremental = slice_accounting == "incremental"
         self.sync_policy = sync_policy
         self.engine = engine
-        self.backend = backend
         #: Engine that actually executed the run; stays ``"object"``
         #: until an SoA compile succeeds.
         self.engine_used = "object"
         #: Why an ``engine="soa"`` request routed to the object engine
         #: (``None`` when no fallback happened).
         self.engine_fallback_reason: Optional[str] = None
-        #: Replay backend that executed the compiled program
-        #: (``None`` until the SoA engine runs).
+        #: Replay loop that executed the compiled program: ``"interp"``
+        #: once the SoA engine runs, ``None`` otherwise.
         self.backend_used: Optional[str] = None
-        #: Why the replay landed below the preferred backend tier
-        #: (``None`` when the preferred tier ran).
-        self.backend_fallback_reason: Optional[str] = None
         self.processors: List[Processor] = list(processors)
         if not self.processors:
             raise ConfigurationError("at least one processor is required")
@@ -292,9 +270,7 @@ class HybridKernel:
                 except UnsupportedFeatureError as exc:
                     self.engine_fallback_reason = exc.feature
                 else:
-                    self._ran = True
-                    self.engine_used = "soa"
-                    return self._run_backend(program)
+                    return self._replay(program)
         self._ran = True
         meter = self.budget.start() if self.budget is not None else None
         queue = self._queue
@@ -331,37 +307,13 @@ class HybridKernel:
         self._finished = True
         return self.result()
 
-    def _run_backend(self, program):
-        """Dispatch a compiled program down the replay tier ladder.
+    def _replay(self, program):
+        """Replay a compiled program on the interpreted array loop."""
+        from .soa import run_program
 
-        The preferred tier is :attr:`backend` (``"auto"`` prefers the
-        top); each tier's eligibility probe either admits the program
-        — bit-identical by construction — or contributes a ``tier:
-        reason`` clause to :attr:`backend_fallback_reason` and the
-        cascade drops one rung.  The interpreted loop is total, so the
-        cascade always terminates with a backend.
-        """
-        from .jit import jit_replay_reason, run_program_jit
-        from .soa import (numpy_replay_reason, run_program,
-                          run_program_numpy)
-
-        reasons = []
-        backend = self.backend
-        if backend in ("auto", "jit"):
-            reason = jit_replay_reason(self, program)
-            if reason is None:
-                self.backend_used = "jit"
-                return run_program_jit(self, program)
-            reasons.append(f"jit: {reason}")
-        if backend in ("auto", "jit", "numpy"):
-            reason = numpy_replay_reason(self, program)
-            if reason is None:
-                self.backend_used = "numpy"
-                self.backend_fallback_reason = "; ".join(reasons) or None
-                return run_program_numpy(self, program)
-            reasons.append(f"numpy: {reason}")
+        self._ran = True
+        self.engine_used = "soa"
         self.backend_used = "interp"
-        self.backend_fallback_reason = "; ".join(reasons) or None
         return run_program(self, program)
 
     def steps(self, until: Optional[float] = None):

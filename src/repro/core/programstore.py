@@ -29,9 +29,7 @@ exactly what a cold compile would have produced.
 :func:`build_replay_kernel` rebuilds a *hollow* kernel — processors,
 resources, and threads with empty bodies — from a loaded program plus
 its spec, skipping the workload build entirely; :func:`replay_batch`
-replays many such cells, routing compatible groups through the batched
-grid replayer (:func:`repro.core.jit.run_programs_jit`) when Numba is
-available and down the ordinary per-cell tier ladder otherwise.
+replays many such cells on the interpreted array loop.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .compile import COMPILE_SUBSET_VERSION, SoAProgram, \
-    compute_numpy_segments
+from .compile import COMPILE_SUBSET_VERSION, SoAProgram
 from .kernel import HybridKernel
 from .resource import Processor
 from .shared import SharedResource
@@ -262,7 +259,6 @@ def _rebuild_program(data) -> SoAProgram:
     program.mutexes = [Mutex(str(name)) for name in data["mutex_names"]]
     program.processor_names = [str(n) for n in data["processor_names"]]
     program.processor_powers = data["processor_powers"].tolist()
-    program.numpy_segments = compute_numpy_segments(program)
     return program
 
 
@@ -566,8 +562,7 @@ def bind_program(program: SoAProgram, kernel) -> None:
     program.resource_fast = fast
 
 
-def build_replay_kernel(spec, program: SoAProgram,
-                        backend: Optional[str] = None) -> HybridKernel:
+def build_replay_kernel(spec, program: SoAProgram) -> HybridKernel:
     """Rebuild a replayable kernel from a loaded program plus its spec.
 
     The expensive half of a cold cell — workload generation and thread
@@ -602,8 +597,6 @@ def build_replay_kernel(spec, program: SoAProgram,
     }
     kwargs.update(spec.kernel_options)
     kwargs["engine"] = "soa"
-    if backend is not None:
-        kwargs["backend"] = backend
     kernel = HybridKernel(processors, shared, **kwargs)
     names = program.processor_names
     for index, tname in enumerate(program.thread_names):
@@ -621,54 +614,16 @@ def build_replay_kernel(spec, program: SoAProgram,
 def replay_program(kernel, program: SoAProgram):
     """Replay one compiled program on its (hollow or real) kernel.
 
-    Marks the kernel consumed and routes down the ordinary backend tier
-    ladder, exactly as ``engine="soa"`` does after a successful
-    compile — ``engine_used`` / ``backend_used`` report honestly.
+    Marks the kernel consumed and replays exactly as ``engine="soa"``
+    does after a successful compile — ``engine_used`` /
+    ``backend_used`` report honestly.
     """
-    kernel._ran = True
-    kernel.engine_used = "soa"
-    return kernel._run_backend(program)
+    return kernel._replay(program)
 
 
-def replay_batch(cells, fallbacks: Optional[List[str]] = None):
-    """Replay ``(kernel, program)`` cells, batching compatible groups.
-
-    When Numba is importable, every JIT-eligible cell joins one
-    mega-batch executed by :func:`repro.core.jit.run_programs_jit`
-    under ``prange``; the rest (and everything on Numba-less hosts)
-    replays per cell through the tier ladder, so ``backend_used``
-    always reports the tier that actually ran.  If the batch raises,
-    the affected cells fall back to per-cell replay, which reproduces
-    the canonical diagnostic on the offending cell; the exception's
-    type name is appended to ``fallbacks`` when a list is passed.
+def replay_batch(cells):
+    """Replay ``(kernel, program)`` cells, one after another.
 
     Returns results index-aligned with ``cells``.
     """
-    from .jit import jit_replay_reason, numba_available, run_programs_jit
-
-    cells = list(cells)
-    results: List[object] = [None] * len(cells)
-    batched: List[int] = []
-    if numba_available():
-        batched = [i for i, (kernel, program) in enumerate(cells)
-                   if jit_replay_reason(kernel, program) is None]
-    if len(batched) >= 2:
-        try:
-            group = [cells[i] for i in batched]
-            for kernel, _program in group:
-                kernel._ran = True
-                kernel.engine_used = "soa"
-                kernel.backend_used = "jit"
-            for i, result in zip(batched, run_programs_jit(group)):
-                results[i] = result
-        except Exception as err:
-            # Replay per cell below: no kernel was written back (the
-            # batch checks every status before any write-back), and the
-            # per-cell path re-raises the canonical diagnostic.
-            if fallbacks is not None:
-                fallbacks.append(type(err).__name__)
-            results = [None] * len(cells)
-    for i, (kernel, program) in enumerate(cells):
-        if results[i] is None:
-            results[i] = replay_program(kernel, program)
-    return results
+    return [replay_program(kernel, program) for kernel, program in cells]

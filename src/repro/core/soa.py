@@ -47,10 +47,9 @@ user subclasses observe exactly the calls the object engine would make.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Optional
+from typing import Dict
 
 from ..contention.base import SliceDemand
-from . import compile as _compile
 from .errors import SimulationError
 from .stats import SimulationResult, build_result
 from .thread import ThreadState
@@ -1018,186 +1017,5 @@ def run_program(kernel, program) -> SimulationResult:
             barrier.generation += bar_generations[bidx]
         for midx, mutex in enumerate(program.mutexes):
             mutex.contended_acquires += mux_contended[midx]
-    kernel._finished = True
-    return build_result(kernel)
-
-
-def numpy_replay_reason(kernel, program) -> Optional[str]:
-    """Why the NumPy segmented tier cannot replay this program.
-
-    Returns ``None`` when :func:`run_program_numpy` is exact for the
-    (kernel, program) pair.  The tier handles the *pure-compute static
-    subset*: no shared-resource accesses, no synchronization, every
-    thread pinned to its own distinct processor.  Under those
-    conditions the Fig. 2 loop degenerates — each thread's commit
-    times are a prefix sum of its region durations, and the commit
-    interleaving never feeds back into placement — so the replay
-    vectorizes wholesale instead of interpreting the loop.  (Unpinned
-    threads are excluded even on homogeneous pools: once any thread
-    exhausts its stream, later retirements migrate to the lowest-index
-    free processor, so per-processor attribution depends on the full
-    commit interleaving.)
-    """
-    if _compile._np is None:
-        return "running without NumPy"
-    if program.has_sync:
-        return "synchronization (pure-compute tier is consume-only)"
-    if program.registered_regions > 0:
-        return "shared-resource accesses (pure-compute tier only)"
-    affinities = program.thread_affinity
-    if any(a is None for a in affinities) \
-            or len(set(affinities)) != len(affinities):
-        return "unpinned or colliding affinity (static binding only)"
-    if any(release != 0.0 for release in program.thread_release):
-        return "staggered start times (static binding only)"
-    for thread in kernel.threads:
-        if thread.carry_penalty:
-            return "pre-seeded carry penalties"
-    if kernel.now != 0.0 or kernel.us.window_start != 0.0 \
-            or kernel.us.collected_upto != 0.0:
-        return "pre-advanced simulation clock"
-    np = _compile._np
-    for t in range(len(program.thread_names)):
-        if not program.region_counts[t]:
-            continue
-        durations = program.region_durations[t]
-        if durations is not None:
-            if not np.isfinite(durations).all():
-                return "non-finite region durations"
-        else:
-            if not (np.isfinite(program.region_complexity[t]).all()
-                    and np.isfinite(program.region_extra[t]).all()):
-                return "non-finite region durations"
-    if not all(power > 0.0 and np.isfinite(power)
-               for power in program.processor_powers):
-        return "non-finite region durations"
-    return None
-
-
-def run_program_numpy(kernel, program) -> SimulationResult:
-    """Vectorized segmented replay of a pure-compute program.
-
-    Eligibility is :func:`numpy_replay_reason` returning ``None`` —
-    the caller (the backend cascade in ``HybridKernel.run``) checks it;
-    running an ineligible program here is undefined.
-
-    Bit-identity argument: with static binding each thread's region
-    ends are the sequential prefix sum ``end_i = end_{i-1} + d_i`` —
-    exactly ``np.cumsum`` (pairwise-free, left-to-right) — and the
-    per-region base/busy accumulations sum ``(end_i - start_i)`` in the
-    same sequential order, preserving the object engine's
-    ``(now + d) - now`` float semantics.  Slice bookkeeping depends
-    only on the merged sorted commit times, replayed against the exact
-    epsilon/merge rules of ``us.analyze`` (no demand ever forms, so
-    windows only advance counters).
-    """
-    np = _compile._np
-    us = kernel.us
-    threads = kernel.threads
-    processors = kernel.processors
-    powers = program.processor_powers
-    min_timeslice = us.min_timeslice
-    now = kernel.now
-
-    # Distinct pins (checked by numpy_replay_reason): each thread runs
-    # every region on its own processor, so attribution is static.
-    binding = program.thread_affinity
-
-    # Segment boundaries are a pure function of the program on this
-    # tier's subset (now == 0.0 enforced by numpy_replay_reason), so
-    # compile_kernel precomputes them; the inline path remains for
-    # programs built by older lowerings or stripped caches.
-    segments = program.numpy_segments if now == 0.0 else None
-
-    total_regions = 0
-    all_ends = []
-    commits = unique = None
-    if segments is not None:
-        commits = segments["commits"]
-        unique = segments["unique"]
-    p_base = [0.0] * len(processors)
-    for t, thread in enumerate(threads):
-        count = program.region_counts[t]
-        if not count:
-            # Exhausted at the initial fill, before time advances.
-            thread.finish_time = now
-            thread.state = ThreadState.DONE
-            continue
-        p = binding[t]
-        if segments is not None:
-            base_total, last_end = segments["per_thread"][t]
-        else:
-            durations = program.region_durations[t]
-            if durations is None:
-                d = (np.asarray(program.region_complexity[t],
-                                dtype=np.float64) / powers[p]
-                     + np.asarray(program.region_extra[t],
-                                  dtype=np.float64))
-            else:
-                d = np.asarray(durations, dtype=np.float64)
-            ends = np.cumsum(d)
-            starts = np.empty_like(ends)
-            starts[0] = now
-            starts[1:] = ends[:-1]
-            base_total = float(np.cumsum(ends - starts)[-1])
-            last_end = float(ends[-1])
-            all_ends.append(ends)
-        thread.total_base_time += base_total
-        thread.regions_committed += count
-        thread.finish_time = last_end
-        thread.release_time = last_end
-        thread.state = ThreadState.DONE
-        p_base[p] += base_total
-        processors[p].regions_executed += count
-        total_regions += count
-    for p, processor in enumerate(processors):
-        processor.busy_time += p_base[p]
-
-    window_start = us.window_start
-    collected_upto = us.collected_upto
-    slices_analyzed = us.slices_analyzed
-    slices_merged = us.slices_merged
-    if commits is None and all_ends:
-        commits = np.sort(np.concatenate(all_ends))
-        unique = np.unique(commits)
-    if commits is not None and len(commits):
-        now = float(commits[-1])
-        if not min_timeslice and unique[0] - collected_upto > 1e-12 \
-                and (np.diff(unique) > 1e-12).all():
-            # Every distinct commit time closes its own (demand-free)
-            # window; duplicates see a zero-width window and skip.
-            slices_analyzed += len(unique)
-            window_start = collected_upto = float(unique[-1])
-        else:
-            # Exact scalar replay of the us.analyze early exits —
-            # near-tie widths accumulate across commits and undersized
-            # windows count one merge per commit, so the counters
-            # cannot be recovered from pairwise diffs alone.
-            for commit in commits.tolist():
-                if commit > collected_upto:
-                    collected_upto = commit
-                width = collected_upto - window_start
-                if min_timeslice and width + 1e-12 < min_timeslice:
-                    if width > 1e-12:
-                        slices_merged += 1
-                elif width <= 1e-12:
-                    pass
-                else:
-                    window_start = collected_upto
-                    slices_analyzed += 1
-            # Final flush: count the tail window, extend nothing.
-            if collected_upto - window_start > 1e-12:
-                window_start = collected_upto
-                slices_analyzed += 1
-
-    kernel.now = now
-    kernel.regions_committed += total_regions
-    us.window_start = window_start
-    us.collected_upto = collected_upto
-    us.slices_analyzed = slices_analyzed
-    us.slices_merged = slices_merged
-    for name in program.resource_names:
-        us._window_demand[name] = {}
-        us._window_units[name] = None
     kernel._finished = True
     return build_result(kernel)

@@ -116,15 +116,10 @@ class SimulationResult:
     #: (``None`` when no fallback happened).  Excluded from equality.
     engine_fallback_reason: Optional[str] = field(default=None,
                                                   compare=False)
-    #: SoA replay backend that executed the program (``"jit"``,
-    #: ``"numpy"``, or ``"interp"``; ``None`` when the object engine
-    #: ran).  Excluded from equality — backends are bit-identical.
+    #: Replay loop that executed the compiled program (``"interp"``
+    #: when the SoA engine ran, ``None`` when the object engine ran).
+    #: Excluded from equality — the engines are bit-identical.
     backend_used: Optional[str] = field(default=None, compare=False)
-    #: Why the replay landed below the preferred backend tier, one
-    #: ``tier: reason`` clause per skipped tier (``None`` when the
-    #: preferred tier ran).  Excluded from equality.
-    backend_fallback_reason: Optional[str] = field(default=None,
-                                                   compare=False)
 
     @property
     def faults_injected(self) -> float:
@@ -258,8 +253,6 @@ def build_result(kernel) -> SimulationResult:
         engine_fallback_reason=getattr(kernel, "engine_fallback_reason",
                                        None),
         backend_used=getattr(kernel, "backend_used", None),
-        backend_fallback_reason=getattr(kernel, "backend_fallback_reason",
-                                        None),
     )
 
 

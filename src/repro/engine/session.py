@@ -1,7 +1,7 @@
 """One execution path for every front end: the ExecutionSession facade.
 
 Before this module existed, the store-probe -> spec-level fallback
-probe -> compile-or-load -> tiered replay -> store-commit sequence was
+probe -> compile-or-load -> replay -> store-commit sequence was
 reimplemented three times: in ``run_comparison`` (per cell), in the
 batched mesh prepass (per grid), and in the sweep supervisor (per
 shard).  Three copies of the same contract is two too many for a
@@ -14,7 +14,7 @@ everything it needs:
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only engine/backend/``iss_engine`` selection defaults
+* the execution-only engine/``iss_engine`` selection defaults
   (never part of any spec hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
   vs replayed, ISS runs computed vs reused, workload builds, prepass
@@ -40,8 +40,8 @@ verbatim — the method bodies *are* the original code, moved:
   else is physics);
 * a comparison whose every requested estimator hits the store performs
   **zero workload builds** — the spec-level SoA probe included;
-* engine/backend routing records a fallback reason on every divergence
-  (zero silent divergence), exactly as the kernel itself does.
+* engine routing records a fallback reason on every divergence (zero
+  silent divergence), exactly as the kernel itself does.
 
 :func:`repro.experiments.runner.run_comparison`,
 :func:`~repro.experiments.runner.run_comparisons_parallel`, and
@@ -189,8 +189,8 @@ def _store_payload(key: str, run: EstimatorRun) -> Dict:
 def _prepass_counters() -> Dict[str, object]:
     """Zeroed counters of one :meth:`ExecutionSession.prepass` call."""
     return {"cells_total": 0, "cells_cold": 0, "cells_batched": 0,
-            "cells_skipped": 0, "cells_failed": 0, "batch_fallbacks": 0,
-            "compiles": 0, "program_loads": 0, "backend_used": {},
+            "cells_skipped": 0, "cells_failed": 0, "compiles": 0,
+            "program_loads": 0, "backend_used": {},
             "failures": {}, "wall_seconds": 0.0}
 
 
@@ -227,11 +227,11 @@ class ExecutionSession:
         root path) for compiled SoA programs; defaults to
         ``<store root>/programs`` in the run store's code-version
         namespace, created lazily on the first prepass.
-    engine / backend / iss_engine:
+    engine / iss_engine:
         Session-wide execution defaults (``engine="soa"``,
-        ``backend="jit"``, ``iss_engine="event"`` ...), overridable per
-        call.  Pure execution knobs: never part of any spec hash, and
-        every tier is bit-identical.
+        ``iss_engine="event"`` ...), overridable per call.  Pure
+        execution knobs: never part of any spec hash, and both
+        engines are bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
@@ -245,7 +245,6 @@ class ExecutionSession:
 
     def __init__(self, store=None, program_store=None,
                  engine: Optional[str] = None,
-                 backend: Optional[str] = None,
                  iss_engine: str = "event",
                  jobs: int = 1,
                  batch_cells: int = 0):
@@ -254,7 +253,6 @@ class ExecutionSession:
         self.store = as_store(store)
         self._program_store = program_store
         self.engine = engine
-        self.backend = backend
         self.iss_engine = iss_engine
         self.jobs = jobs
         self.batch_cells = batch_cells
@@ -443,7 +441,6 @@ class ExecutionSession:
                    budget=None,
                    memo_cache=None,
                    engine: Optional[str] = None,
-                   backend: Optional[str] = None,
                    store=None) -> Comparison:
         """Evaluate a workload or scenario spec with every estimator.
 
@@ -454,14 +451,13 @@ class ExecutionSession:
         spec-level SoA fallback probe routing spec-visible unsupported
         features to the object engine before any workload
         materialization — and commit each computed payload back to the
-        store.  ``engine`` / ``backend`` / ``iss_engine`` default to
-        the session-wide settings when not passed.  ``store`` is
+        store.  ``engine`` / ``iss_engine`` default to the
+        session-wide settings when not passed.  ``store`` is
         another handle on the session's store directory (the sweep's
         in-process cells use one, so the supervisor's own handle counts
         its probe alone); it defaults to the session's.
         """
         engine = engine if engine is not None else self.engine
-        backend = backend if backend is not None else self.backend
         iss_engine = (iss_engine if iss_engine is not None
                       else self.iss_engine)
         spec = None
@@ -576,8 +572,6 @@ class ExecutionSession:
                 start = time.perf_counter()
                 engine_kwargs = ({} if mesh_engine is None
                                  else {"engine": mesh_engine})
-                if backend is not None:
-                    engine_kwargs["backend"] = backend
                 if spec is not None:
                     result = spec.run(memo_cache=memo_cache,
                                       **engine_kwargs)
@@ -629,23 +623,23 @@ class ExecutionSession:
     # -- the grid-granularity sequence --------------------------------
 
     def prepass(self, specs: Sequence,
-                batch_cells: Optional[int] = None,
-                backend: Optional[str] = None) -> Dict[str, object]:
+                batch_cells: Optional[int] = None) -> Dict[str, object]:
         """Warm the run store's ``mesh`` artifacts in batched replays.
 
         The grid-granularity execution tier (see
         :func:`~repro.experiments.runner.batched_mesh_prepass` for the
         full contract): cold cells inside the SoA compiled subset are
         compiled **or** loaded from the session's program store in
-        deterministic ``spec_hash``-sorted order, batch-replayed down
-        the tier ladder, and committed into the run store with exactly
-        the payload :meth:`comparison` would have written (only
-        ``wall_seconds``, an environment measurement, differs).
+        deterministic ``spec_hash``-sorted order, replayed, and
+        committed into the run store with exactly the payload
+        :meth:`comparison` would have written (only ``wall_seconds``,
+        an environment measurement, differs).
 
-        No failure is silent: a replay group that raises is left to
-        the per-cell path and counted in ``cells_failed``, a batch that
-        fell back to per-cell replay in ``batch_fallbacks``, each with
-        its reason tallied under ``failures``.
+        No failure is silent: a cell whose kernel build or compile
+        raises, and every cell of a replay group that raises, is left
+        to the per-cell path and counted in ``cells_failed``, with its
+        reason (``build: TypeError``, ``replay: ...``) tallied under
+        ``failures``.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -654,7 +648,6 @@ class ExecutionSession:
         from ..scenario.spec import ScenarioSpec
         from ..workloads.to_mesh import build_kernel as build_mesh_kernel
 
-        backend = backend if backend is not None else self.backend
         if batch_cells is None:
             batch_cells = self.batch_cells
         counters = _prepass_counters()
@@ -669,7 +662,15 @@ class ExecutionSession:
                 unique.setdefault(spec.spec_hash(), spec)
         ordered = sorted(unique.items())
         counters["cells_total"] = len(ordered)
-        overrides = {} if backend is None else {"backend": backend}
+        failures: Dict[str, int] = counters["failures"]
+
+        def fail(stage: str, err: Exception, cells: int = 1) -> None:
+            # Leave the cells cold: the per-cell path reproduces the
+            # canonical diagnostic with full error capture.
+            counters["cells_failed"] += cells
+            reason = f"{stage}: {type(err).__name__}"
+            failures[reason] = failures.get(reason, 0) + cells
+
         cells = []  # (key, kernel, program, busy_reference)
         for spec_hash, spec in ordered:
             key = artifact_keys(spec, ("mesh",), spec_hash)["mesh"]
@@ -682,21 +683,29 @@ class ExecutionSession:
             phash = program_hash(spec_hash,
                                  version=program_store.version)
             hit = program_store.get(phash)
+            try:
+                if hit is not None:
+                    program, aux = hit
+                    kernel = build_replay_kernel(spec, program)
+                else:
+                    workload = spec.build_workload()
+                    self._count(workload_builds=1)
+                    kernel = build_mesh_kernel(workload,
+                                               **spec.kernel_kwargs())
+            except Exception as err:
+                fail("build", err)
+                continue
             if hit is not None:
-                program, aux = hit
-                kernel = build_replay_kernel(spec, program,
-                                             backend=backend)
                 busy_reference = float(aux.get("busy_reference", 0.0))
                 counters["program_loads"] += 1
             else:
-                workload = spec.build_workload()
-                self._count(workload_builds=1)
-                kernel = build_mesh_kernel(
-                    workload, **spec.kernel_kwargs(**overrides))
                 try:
                     program = compile_kernel(kernel)
                 except UnsupportedFeatureError:
                     counters["cells_skipped"] += 1
+                    continue
+                except Exception as err:
+                    fail("compile", err)
                     continue
                 profiles = self._characterize(spec.workload_hash(),
                                               lambda: workload)
@@ -708,8 +717,7 @@ class ExecutionSession:
                 program_store.record_compile()
                 counters["compiles"] += 1
             cells.append((key, kernel, program, busy_reference))
-        failures: Dict[str, int] = counters["failures"]
-        fallbacks: List[str] = []
+        tally: Dict[str, int] = counters["backend_used"]
         chunk = len(cells) if batch_cells <= 0 else int(batch_cells)
         for lo in range(0, len(cells), max(chunk, 1)):
             group = cells[lo:lo + chunk]
@@ -717,18 +725,12 @@ class ExecutionSession:
             try:
                 results = replay_batch(
                     [(kernel, program)
-                     for _, kernel, program, _ in group],
-                    fallbacks=fallbacks)
+                     for _, kernel, program, _ in group])
             except Exception as err:
-                # Leave these cells cold: the per-cell path reproduces
-                # the canonical diagnostic with full error capture.
-                counters["cells_failed"] += len(group)
-                reason = f"replay: {type(err).__name__}"
-                failures[reason] = failures.get(reason, 0) + len(group)
+                fail("replay", err, len(group))
                 continue
             per_cell = (time.perf_counter() - group_start) / len(group)
-            tally: Dict[str, int] = counters["backend_used"]
-            for (key, kernel, _program, busy_reference), result \
+            for (key, _kernel, _program, busy_reference), result \
                     in zip(group, results):
                 queueing = result.queueing_cycles
                 run = EstimatorRun(
@@ -738,12 +740,8 @@ class ExecutionSession:
                     wall_seconds=per_cell, detail=result)
                 store.put(key, "mesh", _store_payload(key, run))
                 counters["cells_batched"] += 1
-                tier = kernel.backend_used or "interp"
-                tally[tier] = tally.get(tier, 0) + 1
-        counters["batch_fallbacks"] = len(fallbacks)
-        for name in fallbacks:
-            failures[f"batch: {name}"] = \
-                failures.get(f"batch: {name}", 0) + 1
+                tally[result.backend_used] = \
+                    tally.get(result.backend_used, 0) + 1
         counters["wall_seconds"] = time.perf_counter() - start
         with self._lock:
             totals = self.prepass_totals
@@ -779,7 +777,6 @@ class ExecutionSession:
                                       for item in items)
         cell_kwargs = dict(kwargs)
         cell_kwargs.setdefault("engine", self.engine)
-        cell_kwargs.setdefault("backend", self.backend)
         cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor
@@ -792,8 +789,7 @@ class ExecutionSession:
         with self.grid():
             if (batch_cells and self.store is not None and all_specs
                     and "mesh" in kwargs.get("include", ESTIMATORS)):
-                self.prepass(items, batch_cells=max(batch_cells, 0),
-                             backend=kwargs.get("backend"))
+                self.prepass(items, batch_cells=max(batch_cells, 0))
             if all_specs:
                 results = executor.map_specs(fn, items)
             else:

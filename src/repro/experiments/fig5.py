@@ -56,8 +56,7 @@ def run_fig5(bus_delays: Sequence[float] = DEFAULT_BUS_DELAYS,
              seed: int = 1,
              jobs: int = 1,
              store=None,
-             engine: Optional[str] = None,
-             backend: Optional[str] = None) -> List[Fig5Row]:
+             engine: Optional[str] = None) -> List[Fig5Row]:
     """Sweep the bus access latency on the 90%-idle PHM scenario.
 
     Configurations are :class:`ScenarioSpec` cells: ``jobs > 1``
@@ -69,8 +68,7 @@ def run_fig5(bus_delays: Sequence[float] = DEFAULT_BUS_DELAYS,
                        busy_cycles_target=busy_cycles_target,
                        model=model, seed=seed)
     comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine,
-                                        backend=backend)
+                                        engine=engine)
     return [
         Fig5Row(
             bus_delay=bus_delay,

@@ -59,8 +59,7 @@ def run_fig6(idle_sweep: Sequence[float] = DEFAULT_IDLE_SWEEP,
              seeds: Sequence[int] = (1, 2, 3),
              jobs: int = 1,
              store=None,
-             engine: Optional[str] = None,
-             backend: Optional[str] = None) -> List[Fig6Row]:
+             engine: Optional[str] = None) -> List[Fig6Row]:
     """Sweep the second processor's idle fraction.
 
     Each point averages over ``bus_delays`` x ``seeds`` scenario
@@ -76,8 +75,7 @@ def run_fig6(idle_sweep: Sequence[float] = DEFAULT_IDLE_SWEEP,
                        busy_cycles_target=busy_cycles_target,
                        model=model, seeds=seeds)
     comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine,
-                                        backend=backend)
+                                        engine=engine)
     values = [(comparison.error("mesh"), comparison.error("analytical"))
               for comparison in comparisons]
     per_point = len(bus_delays) * len(seeds)

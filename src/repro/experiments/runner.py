@@ -16,7 +16,7 @@ engine, which is what makes repeated figure and report invocations
 warm cache hits.
 
 The execution sequence itself — store probe, spec-level SoA fallback
-probe, compile-or-load, tiered replay, store commit — lives in
+probe, compile-or-load, replay, store commit — lives in
 :class:`~repro.engine.session.ExecutionSession`; the functions here are
 the stable per-call front door over an ephemeral session.  Hold a
 session yourself (as the sweep supervisor and the service do) to keep
@@ -71,7 +71,6 @@ def run_comparison(workload,
                    budget=None,
                    memo_cache=None,
                    engine: Optional[str] = None,
-                   backend: Optional[str] = None,
                    store=None) -> Comparison:
     """Evaluate a workload or scenario spec with every estimator.
 
@@ -115,13 +114,6 @@ def run_comparison(workload,
         any workload materialization, so the fallback costs zero extra
         builds — and a comparison whose estimators all hit the run
         store still performs zero workload builds, probe included.
-    backend:
-        SoA replay backend preference (``"auto"``, ``"jit"``,
-        ``"numpy"``, or ``"interp"``; see
-        :class:`~repro.core.kernel.HybridKernel`).  Like ``engine``, a
-        pure execution knob: never part of scenario identity, and all
-        tiers are bit-identical.  Only meaningful with
-        ``engine="soa"``.
     store:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  Requires a spec: estimator results are looked up by
@@ -137,13 +129,11 @@ def run_comparison(workload,
                               annotation=annotation,
                               iss_engine=iss_engine, include=include,
                               fault_plan=fault_plan, budget=budget,
-                              memo_cache=memo_cache, engine=engine,
-                              backend=backend)
+                              memo_cache=memo_cache, engine=engine)
 
 
 def batched_mesh_prepass(specs: Sequence, store,
                          program_store=None,
-                         backend: Optional[str] = None,
                          batch_cells: int = 0) -> Dict[str, object]:
     """Warm a run store's ``mesh`` artifacts for a grid in batched replays.
 
@@ -154,8 +144,7 @@ def batched_mesh_prepass(specs: Sequence, store,
     order, compiled **or** loaded from the content-addressed
     :class:`~repro.core.programstore.ProgramStore` (one compilation per
     spec across processes, resumes, and warm service runs), replayed
-    through :func:`~repro.core.programstore.replay_batch` — one
-    ``prange`` mega-batch per group when Numba is importable — and each
+    through :func:`~repro.core.programstore.replay_batch`, and each
     committed into the run store under its own ``spec_hash`` with
     exactly the payload :func:`run_comparison` would have written (only
     ``wall_seconds``, an environment measurement, differs).  A
@@ -166,9 +155,10 @@ def batched_mesh_prepass(specs: Sequence, store,
     store path enters ``spec_hash``, and replayed results are
     bit-identical to per-cell runs.  Specs outside the compiled subset
     (or that fail kernel-level compilation) are skipped and fall
-    through to the ordinary per-cell path untouched; a replay failure
-    abandons the prepass the same way, leaving the canonical per-cell
-    diagnostics to surface it.
+    through to the ordinary per-cell path untouched; a cell whose
+    kernel build or compile raises, or a replay group that raises, is
+    left to that path the same way, so the canonical per-cell
+    diagnostics surface it.
 
     Parameters
     ----------
@@ -182,22 +172,18 @@ def batched_mesh_prepass(specs: Sequence, store,
         Optional :class:`~repro.core.programstore.ProgramStore` (or
         root path); defaults to ``<store root>/programs`` in the run
         store's code-version namespace.
-    backend:
-        SoA replay backend preference forwarded to the replay kernels.
     batch_cells:
         Maximum cells per replay batch; ``0`` means one batch for the
         whole grid.
 
     Returns a counter mapping: ``cells_total`` (unique eligible specs),
     ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
-    (outside the compiled subset), ``cells_failed`` (in a replay group
-    that raised), ``batch_fallbacks`` (batches replayed per cell
-    instead), ``failures`` (reason -> count), ``compiles``,
-    ``program_loads``, ``backend_used`` (per-tier tally of the
-    replays), and ``wall_seconds``.
+    (outside the compiled subset), ``cells_failed`` (whose build,
+    compile, or replay group raised), ``failures`` (reason -> count),
+    ``compiles``, ``program_loads``, ``backend_used`` (tally of the
+    replay loops that ran: ``interp``), and ``wall_seconds``.
     """
-    session = ExecutionSession(store=store, program_store=program_store,
-                               backend=backend)
+    session = ExecutionSession(store=store, program_store=program_store)
     return session.prepass(specs, batch_cells=batch_cells)
 
 
@@ -240,7 +226,6 @@ def run_comparisons_parallel(workloads: Sequence,
     with ExecutionSession(store=kwargs.pop("store", None),
                           program_store=program_store,
                           engine=kwargs.pop("engine", None),
-                          backend=kwargs.pop("backend", None),
                           jobs=jobs) as session:
         return session.map_comparisons(workloads,
                                        batch_cells=batch_cells,

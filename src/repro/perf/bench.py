@@ -31,13 +31,10 @@ def environment_info() -> Dict[str, Any]:
     parallelism.  ``cpu_affinity`` is ``None`` on platforms without
     processor affinity (e.g. macOS).
 
-    Also stamps the accelerator stack: ``numpy`` and ``numba`` versions,
-    ``None`` when absent — compiled-tier throughputs (the SoA replay and
-    JIT scenarios) are meaningless to compare across records that ran
-    different tiers.  The active Numba threading layer (``tbb`` /
-    ``omp`` / ``workqueue``, ``None`` without Numba) is stamped too:
-    batched-grid ``prange`` numbers depend on which layer dispatched
-    them.
+    Also stamps the ``numpy`` version, ``None`` when absent — without
+    NumPy the SoA engine routes to the object engine, so compiled-path
+    throughputs are meaningless to compare across records that differ
+    here.
     """
     try:
         affinity: Optional[int] = len(os.sched_getaffinity(0))
@@ -48,15 +45,12 @@ def environment_info() -> Dict[str, Any]:
         numpy_version: Optional[str] = numpy.__version__
     except ImportError:
         numpy_version = None
-    from ..core.jit import numba_threading_layer, numba_version
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "cpu_affinity": affinity,
         "numpy": numpy_version,
-        "numba": numba_version(),
-        "numba_threading_layer": numba_threading_layer(),
     }
 
 

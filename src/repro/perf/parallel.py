@@ -32,6 +32,8 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, replace
@@ -41,6 +43,9 @@ from typing import Any, Callable, List, Optional, Sequence
 #: supervisors can tell a hung worker (transient: retry elsewhere) from
 #: a cell that raised (possibly deterministic: quarantine).
 TIMEOUT_TAG = "CellTimeout"
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_SECONDS = 0.5
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -115,6 +120,23 @@ def _spec_cell(fn: Callable[[Any], Any], payload: Any) -> Any:
     return fn(ScenarioSpec.from_dict(payload))
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A parent killed outright (SIGKILL, OOM) never shuts its pool down,
+    and its reparented workers would otherwise wait on the call queue
+    forever.  A daemon thread polls the parent PID and exits the
+    worker as soon as it changes.
+    """
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()
+
+
 def _picklable(*objects: Any) -> bool:
     """Whether every object survives pickling (pool transport check)."""
     try:
@@ -187,7 +209,9 @@ class ParallelExecutor:
     def _acquire_pool(self) -> ProcessPoolExecutor:
         """Return the warm pool, creating it on first parallel use."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_exit_with_parent,
+                initargs=(os.getpid(),))
         return self._pool
 
     def map(self, fn: Callable[[Any], Any],

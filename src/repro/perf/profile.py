@@ -10,13 +10,6 @@ numbers as a benchmark trajectory (see :mod:`repro.perf.bench`):
 * ``commit_throughput_soa`` — object-engine runs vs structure-of-arrays
   compiled-program replays (:mod:`repro.core.soa`) on a periodic-
   contention workload; the soa/object *ratio* is gated.
-* ``commit_throughput_jit`` — the compiled replay tiers above the
-  interpreted SoA loop: the pure-NumPy segmented tier on a pinned
-  pure-compute workload (``ratio_numpy_over_soa``, measurable
-  anywhere NumPy is), and the Numba-compiled replay vs object-engine
-  runs (``ratio_jit_over_object``, recorded only where Numba is
-  importable — the CI ``jit`` job) with the one-off compilation cost
-  split out from steady-state replay time.
 * ``slice_analysis`` — timeslice analyses per second when driving the
   US scheduler directly (collect + analyze, no kernel around it).
 * ``slice_analysis_batch`` — the same drive at 64 shared resources
@@ -225,146 +218,6 @@ def commit_throughput_soa(quick: bool = False,
         "ratio_soa_cold_over_object": round(
             object_best / (soa_best + compile_elapsed), 4),
     }
-
-
-def _compute_kernel(regions_per_thread: int,
-                    **kernel_kwargs: Any) -> HybridKernel:
-    """Pure-compute pinned workload: the NumPy segmented tier's subset.
-
-    Every thread is pinned to its own processor and no region touches a
-    shared resource — the static shape :func:`repro.core.soa.
-    run_program_numpy` accepts, so the interpreted replay loop and the
-    vectorized tier can be timed on identical programs.
-    """
-    processors = [Processor(f"p{i}", power=1.0) for i in range(THREADS)]
-    kernel = HybridKernel(processors, [], **kernel_kwargs)
-    for t in range(THREADS):
-        def body(t: int = t):
-            for i in range(regions_per_thread):
-                yield consume(100 + (t * 13 + i * 7) % 50)
-        kernel.add_thread(LogicalThread(f"t{t}", body, affinity=f"p{t}"))
-    return kernel
-
-
-def commit_throughput_jit(quick: bool = False,
-                          repeats: int = 3) -> Dict[str, Any]:
-    """Compiled replay tiers vs the interpreted loop / object engine.
-
-    Two independently gated ratios:
-
-    * ``ratio_numpy_over_soa`` — the pure-NumPy segmented tier
-      (:func:`repro.core.soa.run_program_numpy`) vs the interpreted
-      SoA replay on the pinned pure-compute workload, available on any
-      host with NumPy.
-    * ``ratio_jit_over_object`` — compile-once-plus-replay on the
-      Numba backend (:func:`repro.core.jit.run_program_jit`) vs full
-      object-engine runs of the periodic-contention workload.  Only
-      recorded when Numba is importable; the first replay (which pays
-      Numba compilation and CSR lowering) is timed separately as
-      ``jit_warmup_seconds`` so the gated ratio measures steady-state
-      replays — the sweep/calibration usage pattern, same timing
-      contract as :func:`commit_throughput_soa`.
-
-    Both comparisons re-assert bit-identity of the
-    :class:`~repro.core.stats.SimulationResult` values in the record.
-    """
-    from ..core.compile import compile_kernel, numpy_available
-    from ..core.jit import (jit_replay_reason, numba_available,
-                            numba_version, run_program_jit)
-    from ..core.soa import (numpy_replay_reason, run_program,
-                            run_program_numpy)
-
-    if not numpy_available():  # pragma: no cover - no-numpy CI skips bench
-        return {"numpy": False,
-                "skipped": "compiled replay tiers require NumPy"}
-    # Same region count in quick and full mode — see
-    # commit_throughput_soa: the gated ratios move with region count.
-    per_thread = REGIONS_PER_THREAD
-    repeats = 1 if quick else repeats
-    regions = THREADS * per_thread
-    payload: Dict[str, Any] = {
-        "threads": THREADS,
-        "regions": regions,
-        "numpy": True,
-        "numba": numba_version(),
-    }
-
-    program = compile_kernel(_compute_kernel(per_thread))
-    reason = numpy_replay_reason(_compute_kernel(per_thread), program)
-    if reason is not None:  # pragma: no cover - static shape always fits
-        payload["numpy_tier_skipped"] = reason
-    else:
-        # One untimed warmup replay per side: the first vectorized
-        # replay pays one-off NumPy setup cost, and quick CI (single
-        # repeat) must measure the steady state the committed
-        # full-mode baseline records.
-        run_program(_compute_kernel(per_thread), program)
-        run_program_numpy(_compute_kernel(per_thread), program)
-        interp_best = vector_best = None
-        interp_result = vector_result = None
-        for _ in range(repeats):
-            kernel = _compute_kernel(per_thread)
-            start = time.perf_counter()
-            interp_result = run_program(kernel, program)
-            elapsed = time.perf_counter() - start
-            if interp_best is None or elapsed < interp_best:
-                interp_best = elapsed
-            kernel = _compute_kernel(per_thread)
-            start = time.perf_counter()
-            vector_result = run_program_numpy(kernel, program)
-            elapsed = time.perf_counter() - start
-            if vector_best is None or elapsed < vector_best:
-                vector_best = elapsed
-        payload.update({
-            "compute_regions": THREADS * per_thread,
-            "numpy_results_match": interp_result == vector_result,
-            "soa_compute_regions_per_sec":
-                round(regions / interp_best, 1),
-            "numpy_compute_regions_per_sec":
-                round(regions / vector_best, 1),
-            "ratio_numpy_over_soa": round(interp_best / vector_best, 4),
-        })
-
-    if not numba_available():
-        payload["jit_skipped"] = "Numba not importable on this host"
-        return payload
-    jit_program = compile_kernel(_periodic_kernel(per_thread))
-    reason = jit_replay_reason(_periodic_kernel(per_thread), jit_program)
-    if reason is not None:  # pragma: no cover - workload fits the subset
-        payload["jit_skipped"] = reason
-        return payload
-
-    object_best = None
-    object_result = None
-    for _ in range(repeats):
-        kernel = _periodic_kernel(per_thread)
-        start = time.perf_counter()
-        object_result = kernel.run()
-        elapsed = time.perf_counter() - start
-        if object_best is None or elapsed < object_best:
-            object_best = elapsed
-
-    start = time.perf_counter()
-    jit_result = run_program_jit(_periodic_kernel(per_thread), jit_program)
-    warmup_elapsed = time.perf_counter() - start
-    jit_best = None
-    for _ in range(repeats):
-        kernel = _periodic_kernel(per_thread)
-        start = time.perf_counter()
-        jit_result = run_program_jit(kernel, jit_program)
-        elapsed = time.perf_counter() - start
-        if jit_best is None or elapsed < jit_best:
-            jit_best = elapsed
-    payload.update({
-        "jit_results_match": object_result == jit_result,
-        "jit_warmup_seconds": round(warmup_elapsed, 4),
-        "jit_compile_seconds": round(max(warmup_elapsed - jit_best, 0.0),
-                                     4),
-        "object_regions_per_sec": round(regions / object_best, 1),
-        "jit_regions_per_sec": round(regions / jit_best, 1),
-        "ratio_jit_over_object": round(object_best / jit_best, 4),
-    })
-    return payload
 
 
 def slice_analysis(quick: bool = False) -> Dict[str, Any]:
@@ -677,7 +530,6 @@ def sweep_throughput_batched(quick: bool = False) -> Dict[str, Any]:
 SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "commit_throughput": commit_throughput,
     "commit_throughput_soa": commit_throughput_soa,
-    "commit_throughput_jit": commit_throughput_jit,
     "slice_analysis": slice_analysis,
     "slice_analysis_batch": slice_analysis_batch,
     "calibration_grid": calibration_grid,
@@ -694,10 +546,6 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
 GATE_METRICS: List[str] = [
     "commit_throughput.ratio_incremental_over_rescan",
     "commit_throughput_soa.ratio_soa_over_object",
-    "commit_throughput_jit.ratio_numpy_over_soa",
-    # Missing (and therefore skipped by the gate) on hosts without
-    # Numba; the CI jit job measures and pins it explicitly.
-    "commit_throughput_jit.ratio_jit_over_object",
     "slice_analysis_batch.ratio_batch_over_scalar",
     "calibration_grid.ratio_batch_over_scalar",
     "sweep_throughput_batched.ratio_batched_over_percell",

@@ -29,9 +29,10 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.errors import ConfigurationError, SpecValidationError
+from ..core.kernel import HybridKernel
 from .generators import generator_kind, make_workload, resolve_generator
 
 #: Scheduler names accepted by :attr:`ScenarioSpec.scheduler`, mapping
@@ -273,6 +274,14 @@ class MemoSpec:
                    digits=data.get("digits"))
 
 
+#: The :class:`~repro.core.kernel.HybridKernel` knobs a spec may set
+#: through ``kernel_options``, each with the values it accepts.
+KERNEL_OPTIONS: Dict[str, Tuple[object, ...]] = {
+    "engine": HybridKernel.ENGINES,
+    "slice_accounting": HybridKernel.SLICE_ACCOUNTING,
+    "batch_analysis": (True, False),
+}
+
 #: ``to_dict`` key order and defaults for :class:`ScenarioSpec`.
 _SPEC_FIELDS = ("generator", "params", "model", "models",
                 "min_timeslice", "annotation", "sync_policy", "scheduler",
@@ -306,13 +315,13 @@ class ScenarioSpec:
         Slice-memoization configuration (``None`` disables memoization).
     kernel_options:
         Extra :class:`~repro.core.kernel.HybridKernel` keyword
-        arguments (e.g. ``slice_accounting``, ``batch_analysis``,
-        ``engine``, ``backend``).  Note that kernel options are part of
+        arguments: ``slice_accounting``, ``batch_analysis`` and
+        ``engine`` (:data:`KERNEL_OPTIONS`; :meth:`validate` rejects
+        any other key or value).  Note that kernel options are part of
         the spec and therefore of :meth:`spec_hash`; for knobs that are
         pure execution choices with bit-identical results — ``engine``
-        and the SoA replay ``backend`` tier above all — prefer passing
-        overrides at run time (``spec.run(engine="soa",
-        backend="jit")``, or ``engine=`` / ``backend=`` on
+        above all — prefer passing overrides at run time
+        (``spec.run(engine="soa")``, or ``engine=`` on
         :func:`~repro.experiments.runner.run_comparison`) so the
         scenario's content address stays engine-agnostic.  The batched
         replay knobs — ``batch_cells`` and program-store paths — are
@@ -516,6 +525,16 @@ class ScenarioSpec:
             except Exception as err:
                 raise SpecValidationError(
                     str(err), f"/models/{name}") from None
+        for name, value in self.kernel_options.items():
+            choices = KERNEL_OPTIONS.get(name)
+            if choices is None:
+                raise SpecValidationError(
+                    f"unknown kernel option {name!r}; choose from "
+                    f"{sorted(KERNEL_OPTIONS)}", f"/kernel_options/{name}")
+            if type(value) is not type(choices[0]) or value not in choices:
+                raise SpecValidationError(
+                    f"kernel option {name!r} must be one of {choices}, "
+                    f"got {value!r}", f"/kernel_options/{name}")
         try:
             self.build_fault_plan()
         except SpecValidationError:

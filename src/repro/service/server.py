@@ -87,7 +87,6 @@ class ServiceConfig:
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
     engine: Optional[str] = None
-    backend: Optional[str] = None
     #: Default batched-prepass chunking for drained batches
     #: (``-1`` = one batch per drain, ``0`` disables the prepass).
     batch_cells: int = -1
@@ -115,7 +114,7 @@ class AnalyzeService:
         self.config = config
         self.session = session if session is not None else \
             ExecutionSession(store=config.store, engine=config.engine,
-                             backend=config.backend, jobs=config.jobs,
+                             jobs=config.jobs,
                              batch_cells=config.batch_cells)
         self.quotas = QuotaRegistry(
             capacity=config.quota_capacity,

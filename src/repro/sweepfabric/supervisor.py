@@ -97,9 +97,9 @@ class CellOutcome:
     #: (``"soa"`` / ``"object"``), ``"cached"`` when the mesh run was
     #: replayed from the store, or ``None`` when mesh was not included.
     mesh_engine: Optional[str] = None
-    #: SoA replay backend tier the mesh estimator actually used
-    #: (``"jit"`` / ``"numpy"`` / ``"interp"``), ``"cached"`` for store
-    #: replays, ``None`` for object-engine or non-mesh cells.
+    #: SoA replay loop the mesh estimator actually used (``"interp"``),
+    #: ``"cached"`` for store replays, ``None`` for object-engine or
+    #: non-mesh cells.
     mesh_backend: Optional[str] = None
 
     @property
@@ -179,8 +179,7 @@ class SweepResult:
                 f"cell(s), compiles={p['compiles']} "
                 f"program_loads={p['program_loads']} "
                 f"skipped={p['cells_skipped']} "
-                f"failed={p['cells_failed']} "
-                f"batch_fallbacks={p['batch_fallbacks']}")
+                f"failed={p['cells_failed']}")
             for reason, count in sorted(p["failures"].items()):
                 lines.append(f"    prepass failure: {reason} x{count}")
         if c.get("cells_stolen"):
@@ -197,11 +196,10 @@ class SweepResult:
         return "\n".join(lines)
 
     def _tally_lines(self) -> List[str]:
-        """Per-engine/backend tallies of the mesh runs, CI-greppable.
+        """Per-engine/replay-loop tallies of the mesh runs, CI-greppable.
 
-        A silent fallback regression (cells quietly dropping from the
-        jit tier to interp, or from SoA to the object engine) shows up
-        as a changed tally, exactly like the "recomputed estimator
+        A silent fallback regression (cells quietly dropping from SoA
+        to the object engine) shows up as a changed tally, exactly like the "recomputed estimator
         runs: 0" contract line makes recomputation regressions
         greppable.
         """
@@ -247,8 +245,7 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
     include = tuple(config["include"])
     session = config.get("session") or ExecutionSession()
     comparison = session.comparison(spec, include=include, store=store,
-                                    engine=config.get("engine"),
-                                    backend=config.get("backend"))
+                                    engine=config.get("engine"))
     iss = comparison.runs.get("iss")
     mesh_engine = mesh_backend = None
     mesh = comparison.runs.get("mesh")
@@ -300,19 +297,17 @@ class SweepSupervisor:
                  cell_timeout: Optional[float] = None,
                  chaos: Optional[ChaosPlan] = None,
                  engine: Optional[str] = None,
-                 backend: Optional[str] = None,
                  batch_cells: int = 0,
                  program_store=None,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store, the companion program store, and the engine /
-        #: backend selection shared by the probe, the batched prepass,
+        #: run store, the companion program store, and the engine
+        #: selection shared by the probe, the batched prepass,
         #: and every dispatched cell (in-process cells evaluate through
         #: it directly; worker processes through an ephemeral session).
         self.session = ExecutionSession(store=store,
                                         program_store=program_store,
-                                        engine=engine, backend=backend,
-                                        jobs=jobs,
+                                        engine=engine, jobs=jobs,
                                         batch_cells=batch_cells)
         self.store = self.session.store
         if self.store is None:
@@ -330,9 +325,6 @@ class SweepSupervisor:
         #: None).  Execution-only: never part of spec hashes, so cached
         #: payloads from either engine replay interchangeably.
         self.engine = engine
-        #: SoA replay backend preference for every cell ("auto"/"jit"/
-        #: "numpy"/"interp"/None).  Execution-only, like ``engine``.
-        self.backend = backend
         #: Batched mesh prepass knob: non-zero warms cold mesh cells
         #: through the grid-granularity replay before probing (see
         #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
@@ -399,7 +391,6 @@ class SweepSupervisor:
             "include": list(self.include),
             "chaos": self.chaos.to_dict() if self.chaos else None,
             "engine": self.engine,
-            "backend": self.backend,
             "supervisor_pid": os.getpid(),
         }
 

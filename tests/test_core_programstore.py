@@ -2,9 +2,9 @@
 
 Three claims under test:
 
-* **Bit identity regardless of batching** — a compiled program replayed
-  through the batched grid replayer must produce hex-identical results
-  whatever the batch size or composition; a program loaded from the
+* **Bit identity regardless of batching** — compiled programs replayed
+  through :func:`~repro.core.programstore.replay_batch` must produce
+  hex-identical results whatever the batch size or composition; a program loaded from the
   :class:`~repro.core.programstore.ProgramStore` must be
   indistinguishable from the one just compiled.  Verified over the
   equivalence kernels (hypothesis-drawn compositions plus pinned batch
@@ -37,12 +37,10 @@ from golden_scenarios import (SCENARIOS, config_key, iter_configs,
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_config_key, soa_kernel,
                                   soa_snapshot)
-from test_core_soa import (EQUIVALENCE_KERNELS, JIT_ELIGIBLE,
-                           needs_numpy, result_snapshot)
-from repro.core import compile_kernel, jit_replay_reason
+from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
+from repro.core import compile_kernel
 from repro.core.compile import COMPILE_SUBSET_VERSION
 from repro.core.errors import UnsupportedFeatureError
-from repro.core.jit import run_programs_jit
 from repro.core.programstore import (FORMAT_VERSION, ProgramStore,
                                      as_program_store, bind_program,
                                      build_replay_kernel, program_hash,
@@ -54,10 +52,7 @@ from repro.perf.memo import SliceMemoCache
 from repro.scenario.store import RunStore, code_version
 from repro.sweepfabric.grids import fig5_grid
 
-#: Equivalence kernels inside the JIT subset — the grid replayer's
-#: admission set (``jit_replay_reason`` is re-checked per test).
-ELIGIBLE = sorted(name for name in EQUIVALENCE_KERNELS
-                  if JIT_ELIGIBLE[name])
+ELIGIBLE = sorted(EQUIVALENCE_KERNELS)
 
 _REFS = {}
 
@@ -182,19 +177,11 @@ def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
                       max_size=7),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_batched_grid_replay_matches_per_cell(names, seed):
-    """Any composition, any order: the mega-batch equals per-cell runs.
-
-    Exercises the pure-Python grid twin on Numba-less hosts and the
-    compiled ``prange`` grid where Numba is importable — the identical
-    float64 operations either way.
-    """
+    """Any composition, any order: a batch equals per-cell runs."""
     names = list(names)
     random.Random(seed).shuffle(names)
     cells = [_cell(name) for name in names]
-    for kernel, program in cells:
-        assert jit_replay_reason(kernel, program,
-                                 require_numba=False) is None
-    results = run_programs_jit(cells)
+    results = replay_batch(cells)
     assert [result_snapshot(r) for r in results] == \
         [_ref(name) for name in names]
 
@@ -211,20 +198,20 @@ def test_batch_size_never_changes_results(batch):
     for start in range(0, len(names), size):
         chunk = names[start:start + size]
         snaps.extend(result_snapshot(r) for r in
-                     run_programs_jit([_cell(n) for n in chunk]))
+                     replay_batch([_cell(n) for n in chunk]))
     assert snaps == [_ref(name) for name in names]
 
 
 @needs_numpy
 def test_replay_batch_mixed_grid_reports_tiers_honestly():
-    """Ineligible cells ride the tier ladder; every result matches."""
+    """Every cell replays on the interpreted loop; every result matches."""
     names = sorted(EQUIVALENCE_KERNELS)
     cells = [_cell(name) for name in names]
     results = replay_batch(cells)
     for name, (kernel, _program), result in zip(names, cells, results):
         assert result_snapshot(result) == _ref(name)
         assert result.engine_used == "soa"
-        assert result.backend_used in ("jit", "numpy", "interp")
+        assert result.backend_used == "interp"
 
 
 # ---------------------------------------------------------------------
@@ -417,11 +404,11 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
 
 @needs_numpy
 def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
-    """The sweep summary tallies engines/backends and the prepass.
+    """The sweep summary tallies engines/replay loops and the prepass.
 
     The tally lines are the CI-greppable record of which execution
-    tier actually served a sweep — a silent tier downgrade shows up as
-    a changed ``backend_used:`` line.
+    path actually served a sweep — a silent engine downgrade shows up
+    as a changed ``engine_used:`` / ``backend_used:`` line.
     """
     from repro.sweepfabric import run_sharded_sweep
 

@@ -16,14 +16,12 @@ Three layers of defense around ``HybridKernel(engine="soa")``:
   full golden matrix (80 snapshot configurations) re-runs under
   ``engine="soa"`` and must both match the seed snapshots and carry an
   explicit ``engine_fallback_reason`` whenever the object engine ran.
-* **Backend tiers** — above the interpreted replay sit the pure-NumPy
-  segmented tier and the Numba JIT tier.  Tier selection must follow
-  the documented cascade with a recorded ``backend_fallback_reason``
-  for every skipped tier, and each tier's replay (the JIT one runs its
-  pure-Python twin when Numba is absent — bit-identical float ops)
-  must match the object engine exactly.  The sync golden file
-  (``data/golden_soa.json``) pins barrier/FIFO-mutex configurations
-  that compile with *zero* fallback under the widened subset.
+* **One replay loop** — every compiled program replays on the
+  interpreted array loop, reported as ``backend_used == "interp"``,
+  across every compiled-subset boundary (the feature matrix).  The
+  sync golden file (``data/golden_soa.json``) pins barrier/FIFO-mutex
+  configurations that compile with *zero* fallback under the widened
+  subset.
 """
 
 import json
@@ -41,10 +39,8 @@ from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, available_models)
 from repro.core import (HybridKernel, LogicalThread, Processor,
-                        SharedResource, compile_kernel, jit_replay_reason,
-                        numba_available, numpy_available,
-                        numpy_replay_reason, run_program,
-                        run_program_jit, run_program_numpy)
+                        SharedResource, compile_kernel, numpy_available,
+                        run_program)
 from repro.core.errors import (ConfigurationError,
                                UnsupportedFeatureError)
 from repro.core.events import (acquire, barrier_wait, consume, release,
@@ -213,14 +209,14 @@ def _mutexed(**kw):
 
 
 def _compute_pinned(**kw):
-    """Pure-compute, all threads pinned: the NumPy tier's subset."""
+    """Pure-compute, all threads pinned to distinct processors."""
     procs = [Processor(f"p{i}", 1.0) for i in range(3)]
     return _threads(HybridKernel(procs, [], **kw), 3, [],
                     affinity=lambda idx: f"p{idx}")
 
 
 def _compute_unpinned(**kw):
-    """Pure-compute but scheduler-placed: outside the NumPy tier."""
+    """Pure-compute but scheduler-placed."""
     procs = [Processor("p0", 1.0), Processor("p1", 1.0)]
     return _threads(HybridKernel(procs, [], **kw), 3, [])
 
@@ -252,6 +248,23 @@ def test_soa_bit_identical(name):
 
 
 @needs_numpy
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
+def test_jit_replay_bit_identical(name):
+    """One compiled program replays identically on fresh kernels.
+
+    The name is the one this compile-once/replay-many contract had
+    when the Numba tier carried it; the contract now binds the single
+    interpreted replay loop, and every equivalence kernel is in it.
+    """
+    factory = EQUIVALENCE_KERNELS[name]
+    program = compile_kernel(factory())
+    replayed = run_program(factory(), program)
+    assert result_snapshot(replayed) == result_snapshot(factory().run())
+    again = run_program(factory(), program)
+    assert result_snapshot(again) == result_snapshot(replayed)
+
+
+@needs_numpy
 def test_program_replay_is_bit_identical():
     """Compile once, replay on fresh kernels: the sweep usage pattern."""
     program = compile_kernel(_fused())
@@ -267,124 +280,51 @@ def test_engine_name_is_validated():
 
 
 def test_backend_name_is_validated():
-    with pytest.raises(ConfigurationError):
-        HybridKernel([Processor("p0", 1.0)], backend="fortran")
+    """Naming a replay backend is an error, never a silently ignored
+    keyword."""
+    with pytest.raises(TypeError):
+        HybridKernel([Processor("p0", 1.0)], backend="interp")
 
 
 # ---------------------------------------------------------------------
-# backend tiers: JIT / NumPy replays + the selection cascade
+# one replay loop across every compiled-subset boundary
 # ---------------------------------------------------------------------
 
-#: Which equivalence kernels the JIT tier accepts (ignoring Numba
-#: availability).  Pinned expectations, not skips-on-demand: a kernel
-#: silently leaving the compiled subset would otherwise hollow the
-#: suite out.
-JIT_ELIGIBLE = {
-    "fused": True,          # exact const/null models
-    "flat_merged": True,    # window merging is lowered
-    "pinned": True,
-    "barrier": True,        # widened sync subset
-    "mutex": True,
-    "compute_pinned": True,
-    "generic": False,       # dict-dispatch queueing models
-    "bursty": False,        # burst annotations
-    "hetero": False,        # ChenLin model (not the bursts per se)
-}
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
-def test_jit_replay_bit_identical(name):
-    """The JIT replay (or its pure-Python twin) matches the object run.
-
-    Without Numba the undecorated ``_replay`` body executes under
-    CPython on the same ``float64`` arrays — bit-identical IEEE-754
-    arithmetic — which is exactly how Numba-less hosts certify the
-    backend.
-    """
-    factory = EQUIVALENCE_KERNELS[name]
-    program = compile_kernel(factory())
-    kernel = factory()
-    reason = jit_replay_reason(kernel, program, require_numba=False)
-    assert (reason is None) == JIT_ELIGIBLE[name], reason
-    if reason is not None:
-        return
-    replayed = run_program_jit(kernel, program)
-    assert result_snapshot(replayed) == result_snapshot(factory().run())
-    again = run_program_jit(factory(), program)
-    assert result_snapshot(again) == result_snapshot(replayed)
-
-
-@needs_numpy
-def test_numpy_tier_bit_identical():
-    """The segmented tier matches both the interpreter and the object
-    engine on its pure-compute pinned subset."""
-    program = compile_kernel(_compute_pinned())
-    assert numpy_replay_reason(_compute_pinned(), program) is None
-    reference = result_snapshot(_compute_pinned().run())
-    assert result_snapshot(
-        run_program_numpy(_compute_pinned(), program)) == reference
-    assert result_snapshot(
-        run_program(_compute_pinned(), program)) == reference
-
-
-@needs_numpy
-def test_numpy_tier_rejects_unpinned_threads():
-    program = compile_kernel(_compute_unpinned())
-    reason = numpy_replay_reason(_compute_unpinned(), program)
-    assert reason is not None
-
-
-#: feature -> (factory, jit-subset member?, numpy-subset member?) —
-#: one row per compiled-subset boundary the cascade can cross.
+#: feature -> kernel factory, one row per compiled-subset boundary.
 BACKEND_MATRIX = {
-    "compute_pinned": (_compute_pinned, True, True),
-    "compute_unpinned": (_compute_unpinned, True, False),
-    "contention_flat": (_fused, True, False),
-    "window_merging": (_flat_merged, True, False),
-    "sync_barrier": (_barrier, True, False),
-    "sync_mutex": (_mutexed, True, False),
-    "generic_models": (_generic, False, False),
-    "bursts": (_bursty, False, False),
+    "compute_pinned": _compute_pinned,
+    "compute_unpinned": _compute_unpinned,
+    "contention_flat": _fused,
+    "window_merging": _flat_merged,
+    "sync_barrier": _barrier,
+    "sync_mutex": _mutexed,
+    "generic_models": _generic,
+    "bursts": _bursty,
 }
 
 
+#: The values the removed ``backend=`` knob used to accept.
+RETIRED_BACKENDS = ("auto", "interp", "jit", "numpy")
+
+
 @needs_numpy
-@pytest.mark.parametrize("backend", sorted(HybridKernel.BACKENDS))
+@pytest.mark.parametrize("backend", RETIRED_BACKENDS)
 @pytest.mark.parametrize("feature", sorted(BACKEND_MATRIX))
 def test_backend_cascade_matrix(feature, backend):
-    """Every (feature x backend) cell: tier choice, reason, identity.
+    """Every (feature x former backend) cell: no tier choice is left.
 
-    The expected tier is derived from the pinned subset membership
-    flags: ``auto``/``jit`` prefer the JIT tier (only reachable when
-    Numba is importable), then the NumPy tier, then the interpreter;
-    ``numpy`` starts at the NumPy tier; ``interp`` never cascades.
-    Whatever tier runs, the result must equal the object engine's, and
-    every *skipped* preferred tier must leave a prefixed reason.
+    Naming any former backend is a ``TypeError`` on every kernel
+    shape, never a silently ignored keyword; the SoA run it used to
+    steer compiles, replays on the interpreted loop with no fallback,
+    and equals the object engine's result.
     """
-    factory, jit_ok, numpy_ok = BACKEND_MATRIX[feature]
-    result = factory(engine="soa", backend=backend).run()
+    factory = BACKEND_MATRIX[feature]
+    with pytest.raises(TypeError):
+        factory(engine="soa", backend=backend)
+    result = factory(engine="soa").run()
     assert result.engine_used == "soa"
-
-    if backend in ("auto", "jit") and jit_ok and numba_available():
-        expected = "jit"
-    elif backend in ("auto", "jit", "numpy") and numpy_ok:
-        expected = "numpy"
-    else:
-        expected = "interp"
-    assert result.backend_used == expected
-
-    reason = result.backend_fallback_reason or ""
-    if backend in ("auto", "jit") and expected != "jit":
-        assert "jit: " in reason
-    if backend in ("auto", "jit", "numpy") and expected == "interp":
-        assert "numpy: " in reason
-    preferred = "jit" if backend == "auto" else backend
-    if expected == preferred:  # no tier was skipped
-        assert result.backend_fallback_reason is None
-    else:  # a skipped tier is never silent
-        assert reason
-
+    assert result.engine_fallback_reason is None
+    assert result.backend_used == "interp"
     assert result_snapshot(result) == result_snapshot(factory().run())
 
 
@@ -392,8 +332,7 @@ def test_backend_cascade_matrix(feature, backend):
 def test_object_engine_leaves_backend_unset():
     result = _fused().run()
     assert result.backend_used is None
-    assert result.backend_fallback_reason is None
-    routed = _with_semaphore(engine="soa", backend="jit").run()
+    routed = _with_semaphore(engine="soa").run()
     assert routed.engine_used == "object"
     assert routed.backend_used is None
 
@@ -548,8 +487,8 @@ def test_golden_soa_zero_fallback(cfg, golden_soa):
     These shapes were object-only before the subset widened (any sync
     event routed to the object engine).  Now they must run on the SoA
     path with ``engine_fallback_reason`` empty, match the object-engine
-    seed snapshot bit-for-bit, and replay identically through the JIT
-    backend (pure-Python twin when Numba is absent).
+    seed snapshot bit-for-bit, and replay identically from a program
+    compiled once and replayed on a fresh kernel.
     """
     name, mts = cfg
     expected = golden_soa[soa_config_key(name, mts)]
@@ -561,9 +500,8 @@ def test_golden_soa_zero_fallback(cfg, golden_soa):
     assert result_snapshot(result) == expected  # serializers agree
 
     program = compile_kernel(soa_kernel(name, mts))
-    fresh = soa_kernel(name, mts)
-    assert jit_replay_reason(fresh, program, require_numba=False) is None
-    assert soa_snapshot(run_program_jit(fresh, program)) == expected
+    assert soa_snapshot(run_program(soa_kernel(name, mts),
+                                    program)) == expected
 
 
 # ---------------------------------------------------------------------
@@ -664,36 +602,23 @@ sync_spec_strategy = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(spec=sync_spec_strategy)
 def test_random_sync_specs_bit_identical_across_backends(spec):
-    """Random barrier/mutex specs agree across every backend tier.
+    """Random barrier/mutex specs agree across both engines.
 
-    Object engine, interpreted SoA replay, the auto cascade, and the
-    JIT replay (pure-Python twin when Numba is absent) must all return
-    hex-identical snapshots; the NumPy segmented tier is consume-only,
-    so for these specs it must *decline* with a reason rather than run.
-    JIT eligibility itself is pinned: exact constant/null models
-    compile, the Chen-Lin dict-dispatch model must not.
+    The object engine, the ``engine="soa"`` run, and a direct replay
+    of the compiled program must all return hex-identical snapshots,
+    and the SoA run must report the interpreted loop.
     """
     reference = result_snapshot(spec.build_kernel().run())
 
     soa = spec.build_kernel(engine="soa").run()
     assert soa.engine_used == "soa"
     assert soa.engine_fallback_reason is None
+    assert soa.backend_used == "interp"
     assert result_snapshot(soa) == reference
 
-    interp = spec.build_kernel(engine="soa", backend="interp").run()
-    assert interp.backend_used == "interp"
-    assert result_snapshot(interp) == reference
-
-    kernel = spec.build_kernel()
-    program = compile_kernel(kernel)
-    assert numpy_replay_reason(kernel, program) is not None
-
-    jit_reason = jit_replay_reason(kernel, program, require_numba=False)
-    assert (jit_reason is None) == \
-        (spec.model.name in ("constant", "null")), jit_reason
-    if jit_reason is None:
-        assert result_snapshot(
-            run_program_jit(kernel, program)) == reference
+    program = compile_kernel(spec.build_kernel())
+    replayed = run_program(spec.build_kernel(), program)
+    assert result_snapshot(replayed) == reference
 
 
 # ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ under :meth:`ScenarioSpec.workload_hash` while ``mesh`` and
   falls back to per-cell replay are both counted with a reason.
 """
 
+import dataclasses
 import http.client
 import json
 import random
@@ -302,32 +303,27 @@ class TestPrepassFailures:
         assert prepass["cells_batched"] == len(specs) - 1
         assert prepass["failures"] == {"replay: RuntimeError": 1}
         text = result.summary()
-        assert "failed=1 batch_fallbacks=0" in text
+        assert "failed=1" in text
         assert "prepass failure: replay: RuntimeError x1" in text
         # The per-cell path computed the failed cell.
         assert result.counters["estimator_runs_recomputed"] == 1
 
-    def test_batch_fallback_is_counted(self, tmp_path, monkeypatch):
+    def test_bad_cell_does_not_fail_its_batch(self, tmp_path):
         pytest.importorskip("numpy")
-        from repro.core import jit
-
-        def broken_batch(group):
-            raise ValueError("injected batch failure")
-
-        # Pretend Numba is present so the cells join one batch; the
-        # per-cell fallback then replays on the interpreted tier.
-        monkeypatch.setattr(jit, "numba_available", lambda: True)
-        monkeypatch.setattr(jit, "run_programs_jit", broken_batch)
-        specs = _prepass_specs()
+        good, other = _prepass_specs()[:2]
+        # Constructed without validate(): the kernel build raises.
+        bad = dataclasses.replace(other, kernel_options={"bogus": 1})
         with ExecutionSession(store=RunStore(tmp_path / "store"),
-                              backend="interp",
                               batch_cells=-1) as session:
-            session.map_comparisons(specs, include=("mesh",))
+            cells = session.map_comparisons([good, bad],
+                                            include=("mesh",))
             totals = session.stats()["prepass"]
-        assert totals["batch_fallbacks"] == 1
-        assert totals["cells_failed"] == 0
-        assert totals["cells_batched"] == len(specs)
-        assert totals["failures"] == {"batch: ValueError": 1}
+        assert cells[0].ok
+        assert not cells[1].ok
+        assert "bogus" in cells[1].error
+        assert totals["cells_failed"] == 1
+        assert totals["cells_batched"] == 1
+        assert totals["failures"] == {"build: TypeError": 1}
 
 
 # -- the service --------------------------------------------------------

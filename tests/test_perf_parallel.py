@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.contention import ChenLinModel
 from repro.experiments.runner import run_comparisons_parallel
@@ -218,6 +225,50 @@ class TestWarmPool:
                       executor.map(_explode_on_three, [1, 2, 3])]
         assert first == [1, 4, 9]
         assert second[:2] == [2, 3]
+
+
+#: Holds a live two-worker pool, prints its worker PIDs, then idles
+#: until killed.
+_POOL_HOLDER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.perf.parallel import ParallelExecutor
+executor = ParallelExecutor(jobs=2)
+executor.map(abs, [-1, -2, -3, -4])
+print(" ".join(str(pid) for pid in executor._pool._processes), flush=True)
+time.sleep(120)
+"""
+
+
+def _process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (reaped, or a zombie awaiting reap)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_parent_is_killed():
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    holder = subprocess.Popen([sys.executable, "-c", _POOL_HOLDER, src],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        workers = [int(pid) for pid in holder.stdout.readline().split()]
+        assert workers
+        assert not any(_process_gone(pid) for pid in workers)
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and not all(
+            _process_gone(pid) for pid in workers):
+        time.sleep(0.1)
+    alive = [pid for pid in workers if not _process_gone(pid)]
+    for pid in alive:  # do not leak them past a failing test
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"pool workers outlived their parent: {alive}"
 
 
 def _sleepy(seconds):

@@ -170,6 +170,17 @@ class TestMemoAndKnobs:
         error = located(dict(BASE, wormhole=True))
         assert error.path == "/wormhole"
 
+    def test_kernel_options_are_checked_against_the_kernel_knobs(self):
+        error = located(dict(BASE, kernel_options={"backend": "jit"}))
+        assert error.path == "/kernel_options/backend"
+        error = located(dict(BASE, kernel_options={"engine": "fortran"}))
+        assert error.path == "/kernel_options/engine"
+        error = located(dict(BASE, kernel_options={"batch_analysis": 1}))
+        assert error.path == "/kernel_options/batch_analysis"
+        ScenarioSpec.from_dict(dict(BASE, kernel_options={
+            "engine": "soa", "slice_accounting": "rescan",
+            "batch_analysis": False})).validate()
+
 
 class TestModelSpecDirect:
     def test_from_dict_paths(self):

@@ -180,6 +180,13 @@ class TestValidation:
         assert status == 400
         assert payload["path"].startswith("/spec/model")
 
+    def test_retired_backend_kernel_option_is_located_400(self, server):
+        status, payload, _ = analyze(
+            server.port,
+            {"spec": dict(SPEC, kernel_options={"backend": "jit"})})
+        assert status == 400
+        assert payload["path"] == "/spec/kernel_options/backend"
+
     def test_missing_spec_bad_include_bad_deadline(self, server):
         port = server.port
         status, payload, _ = analyze(port, {})
