@@ -6,6 +6,11 @@ cycle — typically from profiling each application alone.  That
 characterization is blind to two things the paper shows matter: idle
 gaps between kernel activations, and phase structure within a kernel.
 This module computes exactly that blind summary from a workload trace.
+
+The summary is a sum over phases, so it is computed from each phase's
+totals directly, with the same rounding as the cycle engines' lowering
+(:func:`~repro.cycle.program.lower_workload`), never by expanding the
+micro-op trace.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-from ..cycle.program import lower_workload
-from ..workloads.trace import Workload, access_target
+from ..cycle.program import map_threads
+from ..workloads.trace import (BarrierOp, IdleOp, LockOp, Phase, UnlockOp,
+                               Workload)
 
 
 @dataclass(frozen=True)
@@ -66,32 +72,46 @@ class ThreadProfile:
 def characterize(workload: Workload) -> Dict[str, ThreadProfile]:
     """Summarize every thread of ``workload`` into a ThreadProfile.
 
-    Uses the same lowering (hence identical power scaling and rounding)
-    as the cycle engines, so the three estimators describe the same
-    physical workload.
+    Same rounding as the cycle engines' lowering, so the three
+    estimators describe the same physical workload: a phase lowers to
+    compute cycles summing to exactly ``round(work / power)`` on the
+    thread's processor and ``accesses`` transactions of ``burst``
+    beats each, whatever its access pattern; an idle op lowers to
+    ``round(cycles)``.  Those totals are summed here without expanding
+    the micro-op trace (every partial sum is an integer, so the float
+    sums are exact).  Raises the lowering's ``ValueError`` when the
+    workload cannot be statically mapped.
     """
     service_times = {spec.name: max(1, int(round(spec.service_time)))
                      for spec in workload.resources}
+    assignment = map_threads(workload)
     profiles: Dict[str, ThreadProfile] = {}
-    for program in lower_workload(workload):
+    for thread in workload.threads:
+        power = assignment[thread.name].power
         accesses: Dict[str, float] = {}
         units: Dict[str, float] = {}
         idle = 0.0
         compute = 0.0
-        for kind, arg in program.ops:
-            if kind == "compute":
-                compute += int(arg)
-            elif kind == "access":
-                name, burst = access_target(arg)
-                accesses[name] = accesses.get(name, 0.0) + 1.0
-                units[name] = units.get(name, 0.0) + burst
-            elif kind == "idle":
-                idle += int(arg)
+        for item in thread.items:
+            if isinstance(item, Phase):
+                compute += int(round(item.work / power))
+                count = item.accesses
+                if count:
+                    name = item.resource
+                    accesses[name] = accesses.get(name, 0.0) + count
+                    units[name] = (units.get(name, 0.0)
+                                   + count * item.burst)
+            elif isinstance(item, IdleOp):
+                idle += int(round(item.cycles))
+            elif isinstance(item, (BarrierOp, LockOp, UnlockOp)):
+                pass  # synchronization adds no cycles and no accesses
+            else:  # pragma: no cover - IR is a closed union
+                raise TypeError(f"unknown trace item {item!r}")
         service = sum(count * service_times[name]
                       for name, count in units.items())
-        profiles[program.thread_name] = ThreadProfile(
-            name=program.thread_name,
-            processor=program.processor.name,
+        profiles[thread.name] = ThreadProfile(
+            name=thread.name,
+            processor=assignment[thread.name].name,
             busy_cycles=compute + service,
             accesses=accesses,
             service_units=units,

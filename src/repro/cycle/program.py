@@ -49,11 +49,14 @@ class Program:
                         or access_target(arg)[0] == resource))
 
 
-def lower_workload(workload: Workload) -> List[Program]:
-    """Expand every thread of ``workload`` into a :class:`Program`.
+def map_threads(workload: Workload) -> Dict[str, ProcessorSpec]:
+    """The static thread -> processor mapping of ``workload``.
 
-    Raises ``ValueError`` when the workload cannot be statically mapped
-    (more threads than processors after honoring affinities).
+    Honors affinities first, then binds the unpinned threads one-to-one
+    to the free processors in declaration order.  Raises ``ValueError``
+    when the workload's barriers or locks are malformed, or when it
+    cannot be statically mapped (an affinity clash, or more threads
+    than processors after honoring affinities).
     """
     workload.validate_barriers()
     workload.validate_locks()
@@ -61,7 +64,6 @@ def lower_workload(workload: Workload) -> List[Program]:
         p.name: p for p in workload.processors
     }
     taken: Dict[str, str] = {}
-    programs: List[Program] = []
     unpinned = []
     for thread in workload.threads:
         if thread.affinity is not None:
@@ -87,7 +89,17 @@ def lower_workload(workload: Workload) -> List[Program]:
     }
     for thread, spec in zip(unpinned, free):
         assignment[thread.name] = spec
+    return assignment
 
+
+def lower_workload(workload: Workload) -> List[Program]:
+    """Expand every thread of ``workload`` into a :class:`Program`.
+
+    Raises ``ValueError`` when the workload cannot be statically mapped
+    (see :func:`map_threads`).
+    """
+    assignment = map_threads(workload)
+    programs: List[Program] = []
     for thread in workload.threads:
         spec = assignment[thread.name]
         salt = thread_salt(thread.name)

@@ -135,18 +135,19 @@ class Comparison:
 
 
 def _detail_payload(estimator: str, result) -> Optional[Dict]:
-    """Flatten an engine result for storage (best effort, may be None)."""
-    try:
-        if estimator == "mesh":
-            from ..core.export import result_to_dict
+    """Flatten an engine result for storage (``None`` for analytical).
 
-            return result_to_dict(result)
-        if estimator == "iss":
-            from ..core.export import cycle_result_to_dict
+    An export failure propagates: the cell fails with that error and
+    nothing is stored, rather than storing a payload without detail.
+    """
+    if estimator == "mesh":
+        from ..core.export import result_to_dict
 
-            return cycle_result_to_dict(result)
-    except Exception:  # storage detail is optional, never fatal
-        return None
+        return result_to_dict(result)
+    if estimator == "iss":
+        from ..core.export import cycle_result_to_dict
+
+        return cycle_result_to_dict(result)
     return None
 
 
@@ -573,7 +574,12 @@ class ExecutionSession:
                 engine_kwargs = ({} if mesh_engine is None
                                  else {"engine": mesh_engine})
                 if spec is not None:
-                    result = spec.run(memo_cache=memo_cache,
+                    # Lower the cell's one workload build (shared with
+                    # the ISS and the characterization) instead of
+                    # letting the spec build its own copy.
+                    built = (get_workload() if spec.kind == "workload"
+                             else None)
+                    result = spec.run(built, memo_cache=memo_cache,
                                       **engine_kwargs)
                 else:
                     result = run_hybrid(get_workload(), model=model,
@@ -635,11 +641,11 @@ class ExecutionSession:
         :meth:`comparison` would have written (only ``wall_seconds``,
         an environment measurement, differs).
 
-        No failure is silent: a cell whose kernel build or compile
-        raises, and every cell of a replay group that raises, is left
-        to the per-cell path and counted in ``cells_failed``, with its
-        reason (``build: TypeError``, ``replay: ...``) tallied under
-        ``failures``.
+        No failure is silent: a cell whose kernel build, compile or
+        result export raises, and every cell of a replay group that
+        raises, is left to the per-cell path and counted in
+        ``cells_failed``, with its reason (``build: TypeError``,
+        ``replay: ...``, ``export: ...``) tallied under ``failures``.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -738,7 +744,12 @@ class ExecutionSession:
                     percent_queueing=(100.0 * queueing / busy_reference
                                       if busy_reference > 0 else 0.0),
                     wall_seconds=per_cell, detail=result)
-                store.put(key, "mesh", _store_payload(key, run))
+                try:
+                    payload = _store_payload(key, run)
+                except Exception as err:
+                    fail("export", err)
+                    continue
+                store.put(key, "mesh", payload)
                 counters["cells_batched"] += 1
                 tally[result.backend_used] = \
                     tally.get(result.backend_used, 0) + 1

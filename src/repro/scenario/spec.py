@@ -648,11 +648,13 @@ class ScenarioSpec:
         kwargs.update(overrides)
         return kwargs
 
-    def build_kernel(self, **overrides):
+    def build_kernel(self, workload=None, **overrides):
         """Assemble the ready-to-run hybrid kernel this spec describes.
 
         ``"workload"``-kind generators lower the workload IR through
-        :func:`repro.workloads.to_mesh.build_kernel`;
+        :func:`repro.workloads.to_mesh.build_kernel` (``workload``, when
+        given, is this spec's already-built IR, lowered instead of
+        building it again);
         ``"kernel"``-kind generators call their factory with the
         kernel-level knobs directly.
         """
@@ -660,8 +662,15 @@ class ScenarioSpec:
         if kind == "workload":
             from ..workloads.to_mesh import build_kernel
 
-            return build_kernel(self.build_workload(),
+            if workload is None:
+                workload = self.build_workload()
+            return build_kernel(workload,
                                 **self.kernel_kwargs(**overrides))
+        if workload is not None:
+            raise ConfigurationError(
+                f"kernel-kind generator {self.generator!r} has no "
+                f"workload IR to reuse"
+            )
         # Kernel-kind factories own their resources and models; the
         # spec fields that describe IR lowering have no meaning here.
         for forbidden in ("model", "models", "scheduler"):
@@ -687,9 +696,9 @@ class ScenarioSpec:
         kwargs.update(overrides)
         return factory(**self.params, **kwargs)
 
-    def run(self, **overrides):
+    def run(self, workload=None, **overrides):
         """Build the kernel and run it to completion."""
-        return self.build_kernel(**overrides).run()
+        return self.build_kernel(workload, **overrides).run()
 
 
 def load_spec(path: str) -> ScenarioSpec:

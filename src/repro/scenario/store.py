@@ -34,11 +34,16 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: Environment variable overriding :func:`code_version` (useful in CI to
 #: key caches on the commit instead of rehashing the tree).
 CODE_VERSION_ENV = "REPRO_CODE_VERSION"
+
+#: Bytes of artifact files one :class:`RunStore` keeps in memory after
+#: reading them (oldest dropped first); a file larger than 1/64 of
+#: this is never kept.
+READ_CACHE_BYTES = 4 << 20
 
 _code_version_cache: Optional[str] = None
 
@@ -106,24 +111,65 @@ class RunStore:
         self.corrupt = 0
         #: Orphaned ``*.tmp`` files deleted by :meth:`sweep_tmp`.
         self.tmp_swept = 0
+        #: path -> (stat stamp, bytes) of artifacts read by :meth:`get`,
+        #: oldest first, holding ``_read_cache_bytes`` bytes in all.
+        self._read_cache: Dict[str, Tuple[Tuple[int, ...], bytes]] = {}
+        self._read_cache_bytes = 0
         if tmp_max_age is not None:
             self.sweep_tmp(max_age=tmp_max_age)
 
+    def _artifact(self, spec_hash: str, estimator: str) -> str:
+        return os.path.join(self.root, self.version, spec_hash[:2],
+                            f"{spec_hash}-{estimator}.json")
+
     def path_for(self, spec_hash: str, estimator: str) -> Path:
         """Artifact path for one ``(spec_hash, estimator)`` pair."""
-        return (self.root / self.version / spec_hash[:2]
-                / f"{spec_hash}-{estimator}.json")
+        return Path(self._artifact(spec_hash, estimator))
+
+    def _read(self, path: str) -> bytes:
+        """An artifact's bytes, from memory while a ``stat`` of the file
+        still matches the one taken when it was read.
+
+        A ``stat`` costs a fraction of an open, read and close, and a
+        store serving repeated lookups (the service's warm path) reads
+        the same artifacts over and over.  Every write (a :meth:`put`'s
+        rename, or an in-place overwrite) changes the inode, size or
+        change time, so a rewritten artifact is read afresh.
+        """
+        cached = self._read_cache.get(path)
+        if cached is not None:
+            info = os.stat(path)
+            if cached[0] == (info.st_ino, info.st_size, info.st_mtime_ns,
+                             info.st_ctime_ns):
+                return cached[1]
+        with open(path, "rb") as handle:
+            info = os.fstat(handle.fileno())
+            data = handle.read()
+        if len(data) <= READ_CACHE_BYTES // 64:
+            stamp = (info.st_ino, info.st_size, info.st_mtime_ns,
+                     info.st_ctime_ns)
+            with self._lock:
+                cache = self._read_cache
+                stale = cache.pop(path, None)
+                if stale is not None:
+                    self._read_cache_bytes -= len(stale[1])
+                while self._read_cache_bytes + len(data) > READ_CACHE_BYTES:
+                    oldest = cache.pop(next(iter(cache)))
+                    self._read_cache_bytes -= len(oldest[1])
+                cache[path] = (stamp, data)
+                self._read_cache_bytes += len(data)
+        return data
 
     def get(self, spec_hash: str, estimator: str) -> Optional[Dict]:
         """Load a cached payload, or ``None`` on a miss.
 
         A payload that exists but fails to parse counts as a miss —
         recomputing is always correct, trusting a torn file never is.
+        Every call parses afresh, so callers never share a payload.
         """
-        path = self.path_for(spec_hash, estimator)
+        path = self._artifact(spec_hash, estimator)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = json.loads(self._read(path))
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
@@ -147,8 +193,10 @@ class RunStore:
         fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
                                         suffix=".tmp")
         try:
+            # One encode (the C encoder; ``json.dump`` streams through
+            # the pure-Python one) and one write: the same bytes.
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -163,7 +211,7 @@ class RunStore:
     def __contains__(self, key) -> bool:
         """Whether a ``(spec_hash, estimator)`` artifact exists on disk."""
         spec_hash, estimator = key
-        return self.path_for(spec_hash, estimator).exists()
+        return os.path.exists(self._artifact(spec_hash, estimator))
 
     def count(self) -> int:
         """Number of artifacts stored under the current code version."""
@@ -205,23 +253,29 @@ class RunStore:
             self.tmp_swept += removed
         return removed
 
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot: lookups, writes, and on-disk hygiene.
+    def counters(self) -> Dict[str, int]:
+        """Snapshot of the lookup/write counters, without touching disk.
 
-        The counter block is read under the lock, so a snapshot taken
-        mid-request never shows a torn view (e.g. a ``corrupt``
-        increment without its paired ``misses`` increment).
+        Read under the lock, so a snapshot taken mid-request never
+        shows a torn view (e.g. a ``corrupt`` increment without its
+        paired ``misses`` increment).
         """
         with self._lock:
-            counters = {"hits": self.hits, "misses": self.misses,
-                        "stores": self.stores, "corrupt": self.corrupt,
-                        "tmp_swept": self.tmp_swept}
+            return {"hits": self.hits, "misses": self.misses,
+                    "stores": self.stores, "corrupt": self.corrupt,
+                    "tmp_swept": self.tmp_swept}
+
+    def stats(self) -> Dict[str, int]:
+        """:meth:`counters` plus on-disk hygiene: ``orphan_tmp`` and
+        ``artifacts`` (two walks of the store tree)."""
+        counters = self.counters()
         counters["orphan_tmp"] = self.orphan_tmp()
         counters["artifacts"] = self.count()
         return counters
 
     def __getstate__(self) -> Dict:
-        """Pickle support: drop the (unpicklable) lock.
+        """Pickle support: drop the (unpicklable) lock and the read
+        cache.
 
         Worker processes receive a counter snapshot and count on their
         own copies from there — exactly the documented cross-process
@@ -231,6 +285,8 @@ class RunStore:
         """
         state = dict(self.__dict__)
         del state["_lock"]
+        state["_read_cache"] = {}
+        state["_read_cache_bytes"] = 0
         return state
 
     def __setstate__(self, state: Dict) -> None:

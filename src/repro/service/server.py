@@ -15,8 +15,9 @@ stdlib ``asyncio`` framing, no new dependencies:
     * **quota** — a per-tenant token bucket
       (:class:`~repro.service.quota.QuotaRegistry`); exhausted tenants
       get a 429 with ``Retry-After``.
-    * **validation** — :meth:`ScenarioSpec.from_dict` + ``validate()``;
-      malformed documents get a 400 naming the exact field via the
+    * **validation** — :meth:`ScenarioSpec.from_dict` + ``validate()``
+      (memoized per canonical document); malformed documents get a 400
+      naming the exact field via the
       :class:`~repro.core.errors.SpecValidationError` JSON-pointer
       path.
     * **store probe** — warm requests (every requested estimator
@@ -52,13 +53,14 @@ stdlib ``asyncio`` framing, no new dependencies:
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError, SpecValidationError
 from ..engine.session import (ESTIMATORS, ExecutionSession,
@@ -71,6 +73,10 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             504: "Gateway Timeout"}
+
+
+#: Admitted spec documents the service keeps parsed and validated.
+SPEC_MEMO_ENTRIES = 1024
 
 
 @dataclass
@@ -124,6 +130,11 @@ class AnalyzeService:
         self.flight = SingleFlight()
         #: spec_hash -> (spec, estimators claimed by leaders here).
         self._pending: Dict[str, Tuple[ScenarioSpec, Set[str]]] = {}
+        #: Canonical spec document -> what :meth:`_admit` made of it.
+        self._admitted: Dict[str, Tuple[ScenarioSpec, str,
+                                        Dict[str, str]]] = {}
+        #: Open client connections (closed by :meth:`aclose`).
+        self._connections: Set["_Connection"] = set()
         self._work: Optional[asyncio.Event] = None
         self._drainer: Optional[asyncio.Task] = None
         self._drain_pool = ThreadPoolExecutor(
@@ -143,12 +154,15 @@ class AnalyzeService:
         """Bind the listening socket and start the drain task."""
         self._work = asyncio.Event()
         self._drainer = asyncio.create_task(self._drain_loop())
-        return await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port,
-            limit=max(self.config.max_body_bytes, 1 << 16))
+        return await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host,
+            self.config.port)
 
     async def aclose(self) -> None:
-        """Stop the drain task and shut the session's pool down."""
+        """Close open connections, stop the drain task and shut the
+        session's pool down."""
+        for connection in list(self._connections):
+            connection.close()
         if self._drainer is not None:
             self._drainer.cancel()
             try:
@@ -218,6 +232,18 @@ class AnalyzeService:
 
         Returns ``(status, payload, extra_headers)``.
         """
+        outcome = self._analyze_now(body)
+        if isinstance(outcome, tuple):
+            return outcome
+        return await outcome
+
+    def _analyze_now(self, body: Dict):
+        """Everything of :meth:`analyze` up to the first wait.
+
+        Returns the ``(status, payload, extra_headers)`` answer when
+        the request needs no computation (a store hit or a rejection),
+        else the coroutine that waits for the computation and answers.
+        """
         self.counters["analyze_requests"] += 1
         tenant = body.get("tenant") or "anonymous"
         if not isinstance(tenant, str):
@@ -236,7 +262,7 @@ class AnalyzeService:
             return self._bad_request(
                 "request body needs a 'spec' document", "/spec")
         try:
-            spec = ScenarioSpec.from_dict(document).validate()
+            spec, spec_hash, all_keys = self._admit(document)
         except SpecValidationError as err:
             return self._bad_request(str(err), "/spec" + err.path)
         except ConfigurationError as err:
@@ -264,8 +290,7 @@ class AnalyzeService:
             return self._bad_request(
                 f"deadline_seconds must be a positive number, "
                 f"got {deadline!r}", "/deadline_seconds")
-        spec_hash = spec.spec_hash()
-        keys = artifact_keys(spec, include, spec_hash)
+        keys = {estimator: all_keys[estimator] for estimator in include}
 
         store = self.session.store
         runs: Dict[str, Dict] = {}
@@ -296,6 +321,15 @@ class AnalyzeService:
             spec_entry[1].update(lead)
             assert self._work is not None, "service not started"
             self._work.set()
+        return self._await_cold(spec_hash, include, runs, waiting,
+                                budget, bool(body.get("detail")))
+
+    async def _await_cold(self, spec_hash: str, include: List[str],
+                          runs: Dict[str, Dict],
+                          waiting: Dict[str, asyncio.Future],
+                          budget: RunBudget, detail: bool
+                          ) -> Tuple[int, Dict, Dict[str, str]]:
+        """Wait for a cold request's computations and answer it."""
         try:
             # Shield each shared future: a deadline here must not
             # cancel a computation other requests are joined on.
@@ -317,9 +351,38 @@ class AnalyzeService:
         for estimator, payload in zip(waiting, done):
             runs[estimator] = payload
         source = "computed" if len(waiting) == len(include) else "mixed"
-        return (200, self._response(spec_hash, runs, include,
-                                    bool(body.get("detail")),
+        return (200, self._response(spec_hash, runs, include, detail,
                                     source=source), {})
+
+    def _admit(self, document) -> Tuple[ScenarioSpec, str, Dict[str, str]]:
+        """Parse and validate a spec document: ``(spec, spec_hash,
+        artifact keys of every estimator)``.
+
+        Memoized on the document's canonical JSON: a service answers
+        the same documents over and over, and parsing, validating and
+        hashing one costs more than the store probe that answers it.
+        Validation reads nothing but the document and the registries,
+        so a document admitted once is admitted again.  Rejected
+        documents are not kept; past ``SPEC_MEMO_ENTRIES`` the oldest
+        entry is dropped.
+        """
+        try:
+            text = json.dumps(document, sort_keys=True)
+        except (TypeError, ValueError):
+            # Not plain JSON (a direct call, not a parsed body):
+            # ``from_dict`` names the offending field.
+            text = None
+        admitted = self._admitted.get(text)
+        if admitted is None:
+            spec = ScenarioSpec.from_dict(document).validate()
+            spec_hash = spec.spec_hash()
+            admitted = (spec, spec_hash,
+                        artifact_keys(spec, ESTIMATORS, spec_hash))
+            if text is not None:
+                if len(self._admitted) >= SPEC_MEMO_ENTRIES:
+                    del self._admitted[next(iter(self._admitted))]
+                self._admitted[text] = admitted
+        return admitted
 
     def _bad_request(self, message: str, path: str
                      ) -> Tuple[int, Dict, Dict[str, str]]:
@@ -360,65 +423,9 @@ class AnalyzeService:
 
     # -- HTTP framing -------------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown while this connection idles between requests:
-            # close quietly instead of surfacing a cancelled task.
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _handle_one(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> bool:
-        """Serve one request; returns whether to keep the connection."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return False
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError:
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"})
-            return False
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            await self._respond(writer, 400,
-                                {"error": "bad content-length"})
-            return False
-        if length > self.config.max_body_bytes:
-            await self._respond(writer, 413,
-                                {"error": "request body too large"})
-            return False
-        body = await reader.readexactly(length) if length else b""
-        self.counters["requests"] += 1
-        status, payload, extra = await self._route(method, target,
-                                                   body)
-        await self._respond(writer, status, payload, extra)
-        return headers.get("connection", "").lower() != "close"
-
-    async def _route(self, method: str, target: str, body: bytes
-                     ) -> Tuple[int, Dict, Dict[str, str]]:
+    def _route(self, method: str, target: str, body: bytes):
+        """Answer one request: its ``(status, payload, extra_headers)``,
+        or a coroutine returning them (see :meth:`_analyze_now`)."""
         path = target.split("?", 1)[0]
         if path == "/v1/healthz":
             if method != "GET":
@@ -439,22 +446,158 @@ class AnalyzeService:
             if not isinstance(document, dict):
                 return self._bad_request(
                     "request body must be a JSON object", "/")
-            return await self.analyze(document)
+            return self._analyze_now(document)
         return 404, {"error": f"no route for {path}"}, {}
 
     @staticmethod
-    async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: Dict,
-                       extra: Optional[Dict[str, str]] = None) -> None:
+    def _encode(status: int, payload: Dict,
+                extra: Optional[Dict[str, str]] = None) -> bytes:
+        """One complete HTTP/1.1 response."""
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(blob)}"]
         for name, value in (extra or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                     + blob)
-        await writer.drain()
+        return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + blob
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: HTTP/1.1 requests parsed straight out of
+    the byte stream, responses written in request order.
+
+    A request answered without a computation (a store hit, a
+    rejection, ``/v1/healthz``) is answered inside
+    :meth:`data_received`, with no task and no wake-up; a request that
+    waits on a computation runs as a task, and the answers of requests
+    pipelined behind it on this connection wait their turn.  While the
+    transport's write buffer is full, reading pauses, so a client that
+    does not read its answers stops being read.
+    """
+
+    def __init__(self, service: AnalyzeService):
+        self._service = service
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: Answers not yet written, in request order: encoded
+        #: responses, or tasks that will return a response triple.
+        self._queue: Deque = collections.deque()
+        #: Answer nothing more: close once the queue is written.
+        self._closing = False
+        #: The client sent its last byte: close once every request
+        #: read so far is answered.
+        self._eof = False
+        self._paused = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._service._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self._service._connections.discard(self)
+        self._closing = True
+        for item in self._queue:
+            if not isinstance(item, bytes):
+                item.cancel()
+        self._queue.clear()
+
+    def close(self) -> None:
+        """Drop the connection (server shutdown)."""
+        if self._transport is not None:
+            self._transport.close()
+
+    def eof_received(self) -> bool:
+        # Keep the transport open for the answers still owed.
+        self._eof = True
+        self._flush()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._serve()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def _serve(self) -> None:
+        """Answer every complete request in the buffer."""
+        service = self._service
+        while not self._closing and not self._paused:
+            end = self._buffer.find(b"\r\n\r\n")
+            if end < 0:
+                if len(self._buffer) > max(service.config.max_body_bytes,
+                                           1 << 16):
+                    self._transport.close()  # a header without an end
+                    return
+                break
+            lines = self._buffer[:end].decode("latin-1").split("\r\n")
+            try:
+                method, target, _version = lines[0].split(" ", 2)
+            except ValueError:
+                self._reject(400, "malformed request line")
+                return
+            headers = {}
+            for line in lines[1:]:
+                if ":" in line:
+                    name, _, value = line.partition(":")
+                    headers[name.strip().lower()] = value.strip()
+            try:
+                length = int(headers.get("content-length", "0"))
+                if length < 0:
+                    raise ValueError(length)
+            except ValueError:
+                self._reject(400, "bad content-length")
+                return
+            if length > service.config.max_body_bytes:
+                self._reject(413, "request body too large")
+                return
+            if len(self._buffer) < end + 4 + length:
+                break  # the body has not all arrived
+            body = bytes(self._buffer[end + 4:end + 4 + length])
+            del self._buffer[:end + 4 + length]
+            if headers.get("connection", "").lower() == "close":
+                self._closing = True
+            service.counters["requests"] += 1
+            outcome = service._route(method, target, body)
+            if isinstance(outcome, tuple):
+                self._queue.append(service._encode(*outcome))
+            else:
+                task = asyncio.get_running_loop().create_task(outcome)
+                task.add_done_callback(lambda _task: self._flush())
+                self._queue.append(task)
+        self._flush()
+
+    def _reject(self, status: int, message: str) -> None:
+        """Answer a request that cannot be read, then close."""
+        self._queue.append(self._service._encode(status,
+                                                 {"error": message}))
+        self._closing = True
+        self._flush()
+
+    def _flush(self) -> None:
+        """Write the answers at the head of the queue that are ready."""
+        queue = self._queue
+        while queue:
+            item = queue[0]
+            if not isinstance(item, bytes):
+                if not item.done():
+                    return
+                if item.cancelled() or item.exception() is not None:
+                    queue.clear()
+                    self._transport.close()
+                    return
+                item = self._service._encode(*item.result())
+            queue.popleft()
+            self._transport.write(item)
+        if ((self._closing or (self._eof and not self._paused))
+                and not self._transport.is_closing()):
+            self._transport.close()
 
 
 class ServiceHandle:

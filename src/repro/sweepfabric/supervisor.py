@@ -121,6 +121,9 @@ class SweepResult:
     #: One outcome per grid cell, in grid order.
     cells: List[CellOutcome]
     counters: Dict[str, int]
+    #: The store's lookup/write counters
+    #: (:meth:`~repro.scenario.store.RunStore.counters`; never a
+    #: walk of the store tree).
     store_stats: Dict[str, int]
     #: Counters from the batched mesh prepass (see
     #: :func:`~repro.experiments.runner.batched_mesh_prepass`), or
@@ -598,7 +601,7 @@ class SweepSupervisor:
         counters = self._counters(cells, stolen)
         return SweepResult(plan=self.plan, manifest=self.manifest,
                            cells=cells, counters=counters,
-                           store_stats=self.store.stats(),
+                           store_stats=self.store.counters(),
                            prepass=self.prepass_counters)
 
     def _counters(self, cells: Sequence[CellOutcome],

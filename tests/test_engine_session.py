@@ -185,6 +185,63 @@ class TestZeroBuildWarmPath:
                     == cold.runs[estimator].percent_queueing)
 
 
+def _count_builds(monkeypatch):
+    """Record every ``ScenarioSpec.build_workload`` call's spec hash."""
+    calls = []
+    original = ScenarioSpec.build_workload
+
+    def counted(self):
+        calls.append(self.spec_hash())
+        return original(self)
+
+    monkeypatch.setattr(ScenarioSpec, "build_workload", counted)
+    return calls
+
+
+class TestOneBuildPerColdCell:
+    @pytest.mark.parametrize("include", [("mesh",), ESTIMATORS],
+                             ids=["mesh", "iss+mesh+analytical"])
+    def test_cold_cell_builds_its_workload_once(self, tmp_path,
+                                                monkeypatch, include):
+        """The MESH kernel lowers the workload the cell already built
+        for its characterization (and ISS), never a second copy."""
+        spec = spec_for("uniform", 0, "chenlin", 0.0, None)
+        calls = _count_builds(monkeypatch)
+        with ExecutionSession(store=RunStore(tmp_path / "s")) as session:
+            comparison = session.comparison(spec, include=include)
+        assert comparison.cached_runs == 0
+        assert calls == [spec.spec_hash()]
+        assert session.workload_builds == 1
+
+
+class TestNoSilentDetailLoss:
+    @pytest.mark.parametrize("batch_cells", [0, -1],
+                             ids=["per-cell", "prepass"])
+    def test_export_failure_fails_the_cell_and_stores_nothing(
+            self, tmp_path, monkeypatch, batch_cells):
+        """A result that cannot be exported is the cell's counted
+        error, never a stored payload with ``detail: None``."""
+        import repro.core.export as export
+
+        def broken(result):
+            raise RuntimeError("export broke")
+
+        monkeypatch.setattr(export, "result_to_dict", broken)
+        spec = spec_for("uniform", 0, "chenlin", 0.0, None)
+        store = RunStore(tmp_path / "store")
+        with ExecutionSession(store=store, jobs=1,
+                              batch_cells=batch_cells) as session:
+            [result] = session.map_comparisons([spec], include=("mesh",))
+        assert not result.ok
+        assert "RuntimeError" in result.error
+        assert "export broke" in result.error
+        assert store.stores == 0
+        assert (spec.spec_hash(), "mesh") not in store
+        if batch_cells:
+            assert session.prepass_totals["failures"] == {
+                "export: RuntimeError": 1}
+
+
 class TestProbe:
     def test_probe_is_all_or_nothing(self, tmp_path):
         spec = spec_for("uniform", 0, "chenlin", 0.0, None)

@@ -1,6 +1,7 @@
 """Tests for the content-addressed run store and code versioning."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,77 @@ class TestRunnerIntegration:
         assert comparison.spec_hash is None
         assert comparison.cached_runs == 0
         assert store.stats()["stores"] == 0
+
+
+class TestReadCache:
+    """``get`` keeps artifact bytes in memory while a ``stat`` of the
+    file still matches; every lookup still sees what is on disk."""
+
+    def test_repeat_get_skips_the_open(self, tmp_path, monkeypatch):
+        import builtins
+
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        store.put(key, "mesh", PAYLOAD)
+        assert store.get(key, "mesh") == PAYLOAD
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open",
+                            lambda *a, **k: opened.append(a[0])
+                            or real_open(*a, **k))
+        assert store.get(key, "mesh") == PAYLOAD
+        assert opened == []
+        assert store.hits == 2
+
+    def test_callers_never_share_a_payload(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        store.put(key, "mesh", dict(PAYLOAD, detail={"kind": "hybrid"}))
+        first = store.get(key, "mesh")
+        first["detail"]["kind"] = "mutated"
+        assert store.get(key, "mesh")["detail"]["kind"] == "hybrid"
+
+    def test_put_and_in_place_writes_are_seen(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        store.put(key, "mesh", PAYLOAD)
+        assert store.get(key, "mesh") == PAYLOAD
+        changed = dict(PAYLOAD, queueing_cycles=7.0)
+        store.put(key, "mesh", changed)
+        assert store.get(key, "mesh") == changed
+        store.path_for(key, "mesh").write_bytes(b"{torn json")
+        assert store.get(key, "mesh") is None
+        assert store.corrupt == 1
+        store.path_for(key, "mesh").unlink()
+        assert store.get(key, "mesh") is None
+        assert (store.corrupt, store.misses) == (1, 2)
+
+    def test_cache_is_bounded_in_bytes(self, tmp_path, monkeypatch):
+        from repro.scenario import store as store_module
+
+        monkeypatch.setattr(store_module, "READ_CACHE_BYTES", 64 * 600)
+        store = RunStore(tmp_path)
+        keys = [spec(seed).spec_hash() for seed in range(100)]
+        for key in keys:
+            store.put(key, "mesh", dict(PAYLOAD, pad="x" * 400))
+            assert store.get(key, "mesh")["pad"] == "x" * 400
+        held = sum(len(data) for _, data in store._read_cache.values())
+        assert held == store._read_cache_bytes <= 64 * 600
+        assert len(store._read_cache) < len(keys)
+        # The newest artifacts are the ones kept.
+        assert store.path_for(keys[-1], "mesh").as_posix() in {
+            Path(path).as_posix() for path in store._read_cache}
+
+    def test_pickled_store_starts_with_an_empty_cache(self, tmp_path):
+        import pickle
+
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        store.put(key, "mesh", PAYLOAD)
+        store.get(key, "mesh")
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone._read_cache == {} and clone._read_cache_bytes == 0
+        assert clone.get(key, "mesh") == PAYLOAD
 
 
 class TestCorruptionCounters:

@@ -216,6 +216,53 @@ class TestValidation:
         assert stats(server.port)["service"]["validation_errors"] >= 1
 
 
+class TestAdmissionMemo:
+    """A spec document is parsed, validated and hashed once; repeats
+    (in any key order) reuse the result, rejections are never kept."""
+
+    def test_repeat_documents_are_parsed_once(self, server, monkeypatch):
+        from repro.scenario.spec import ScenarioSpec
+
+        parsed = []
+        real = ScenarioSpec.from_dict.__func__
+        monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(
+            lambda cls, data: parsed.append(data) or real(cls, data)))
+        port = server.port
+        _, first, _ = analyze(port, {"spec": SPEC, "include": ["mesh"]})
+        cold_parses = len(parsed)  # admission, plus the drained cell
+        reordered = {"params": dict(reversed(list(SPEC["params"]
+                                                  .items()))),
+                     "generator": SPEC["generator"]}
+        for document in (SPEC, reordered):
+            status, again, _ = analyze(port, {"spec": document,
+                                              "include": ["mesh"]})
+            assert status == 200
+            assert again["spec_hash"] == first["spec_hash"]
+            assert again["source"] == "store"
+        assert len(parsed) == cold_parses
+
+    def test_rejected_documents_are_not_kept(self, server):
+        bad = {"spec": dict(SPEC, params={"warp_factor": 9})}
+        for _ in range(2):
+            status, payload, _ = analyze(server.port, bad)
+            assert (status, payload["path"]) == (400, "/spec/params")
+        assert stats(server.port)["service"]["validation_errors"] == 2
+        assert server.service._admitted == {}
+
+    def test_memo_is_bounded(self, server, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "SPEC_MEMO_ENTRIES", 2)
+        for seed in range(4):
+            document = dict(SPEC, params=dict(SPEC["params"], seed=seed))
+            assert analyze(server.port, {"spec": document,
+                                         "include": ["analytical"]}
+                           )[0] == 200
+        kept = [json.loads(text)["params"]["seed"]
+                for text in server.service._admitted]
+        assert kept == [2, 3]
+
+
 class TestQuota:
     def test_tenant_exhaustion_is_429_with_retry_after(self, tmp_path):
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
@@ -267,6 +314,93 @@ class TestObservability:
         assert request(server.port, "GET", "/v2/nope")[0] == 404
         assert request(server.port, "GET", "/v1/analyze")[0] == 405
         assert request(server.port, "POST", "/v1/stats")[0] == 405
+
+
+def _raw_exchange(port, data, half_close=False, timeout=60):
+    """Send raw bytes on one connection; return everything the server
+    writes until it closes the connection."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _split_responses(blob):
+    """``[(status, payload)]`` of back-to-back HTTP responses."""
+    out = []
+    while blob:
+        head, _, rest = blob.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = next(int(line.split(":", 1)[1]) for line in lines
+                      if line.lower().startswith("content-length:"))
+        out.append((int(lines[0].split(" ")[1]),
+                    json.loads(rest[:length])))
+        blob = rest[length:]
+    return out
+
+
+def _post(body, close=False):
+    blob = json.dumps(body).encode()
+    return (b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\n"
+            + (b"Connection: close\r\n" if close else b"")
+            + b"Content-Length: " + str(len(blob)).encode()
+            + b"\r\n\r\n" + blob)
+
+
+class TestFraming:
+    """HTTP/1.1 over one connection: pipelined answers keep request
+    order even when a cold request is ahead of warm ones."""
+
+    def test_pipelined_answers_keep_request_order(self, server):
+        cold = {"spec": dict(SPEC, params=dict(SPEC["params"], seed=41)),
+                "include": ["mesh"]}
+        data = (_post(cold)
+                + b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                + _post({"spec": {"generator": "warp-drive"}})
+                + _post(cold, close=True))
+        answers = _split_responses(_raw_exchange(server.port, data))
+        assert [status for status, _ in answers] == [200, 200, 400, 200]
+        assert answers[0][1]["source"] == "computed"
+        assert answers[1][1]["status"] == "ok"
+        assert answers[2][1]["path"] == "/spec/generator"
+        # The repeat of the cold spec joined its flight (or hit the
+        # store); either way one kernel run answered both.
+        assert (answers[3][1]["runs"]["mesh"]["queueing_cycles"]
+                == answers[0][1]["runs"]["mesh"]["queueing_cycles"])
+        assert stats(server.port)["session"]["estimator_runs_computed"] \
+            == 1
+
+    def test_half_closed_client_still_gets_its_answers(self, server):
+        data = (_post({"spec": SPEC, "include": ["analytical"]})
+                + b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        answers = _split_responses(
+            _raw_exchange(server.port, data, half_close=True))
+        assert [status for status, _ in answers] == [200, 200]
+
+    @pytest.mark.parametrize("head, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         400),
+        (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+         400),
+        (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 99999999\r\n"
+         b"\r\n", 413),
+    ])
+    def test_unreadable_requests_are_answered_then_closed(
+            self, server, head, status):
+        # The trailing healthz is never answered: the server closes.
+        data = head + b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        answers = _split_responses(_raw_exchange(server.port, data))
+        assert [code for code, _ in answers] == [status]
 
 
 class TestPrepassIntegration:

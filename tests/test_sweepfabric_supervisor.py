@@ -13,7 +13,8 @@ from repro.robustness.faults import RetryPolicy
 from repro.scenario.generators import register_generator
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.store import RunStore
-from repro.sweepfabric import ChaosPlan, run_sharded_sweep
+from repro.sweepfabric import (ChaosPlan, SweepSupervisor,
+                               run_sharded_sweep)
 from repro.sweepfabric.supervisor import is_transient
 from repro.workloads.synthetic import uniform_workload
 
@@ -126,6 +127,28 @@ class TestResume:
         assert warm.store_stats["misses"] == 0
         for a, b in zip(cold.cells, warm.cells):
             assert a.runs == b.runs
+
+    def test_warm_resume_never_walks_the_store_tree(self, tmp_path,
+                                                    monkeypatch):
+        """A resume over a filled store reads the store's counters,
+        not its directory tree: ``Path.rglob`` is never called."""
+        specs = _grid()
+        run_sharded_sweep(specs, tmp_path / "store", shards=2, jobs=1)
+        supervisor = SweepSupervisor(specs, tmp_path / "store",
+                                     shards=2, jobs=1, resume=True)
+        walks = []
+        original = Path.rglob
+
+        def counted(self, pattern):
+            walks.append((str(self), pattern))
+            return original(self, pattern)
+
+        monkeypatch.setattr(Path, "rglob", counted)
+        warm = supervisor.run()
+        assert warm.counters["cells_from_cache"] == len(specs)
+        assert walks == []
+        assert set(warm.store_stats) == {"hits", "misses", "stores",
+                                         "corrupt", "tmp_swept"}
 
     def test_partial_store_computes_only_missing(self, tmp_path):
         specs = _grid()
