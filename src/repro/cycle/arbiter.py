@@ -61,9 +61,11 @@ class RoundRobinArbiter(Arbiter):
         self._last = -1
 
     def pick(self, waiting: List[Request]) -> Request:
+        modulus = _rotation_modulus(waiting)
+        start = self._last + 1
+
         def rotation_key(request: Request):
-            offset = (request.proc_index - self._last - 1)
-            return (offset % _rotation_modulus(waiting), request.seq)
+            return ((request.proc_index - start) % modulus, request.seq)
 
         best = min(waiting, key=rotation_key)
         waiting.remove(best)

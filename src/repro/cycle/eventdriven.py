@@ -8,63 +8,65 @@ experiments use it as the ground-truth generator for accuracy sweeps
 baseline for Table 1; an equivalence test suite keeps the twins locked
 together.
 
-Equivalence is by construction: events are processed in per-cycle
-batches replicating the stepped engine's phase order (completions, then
-advances in processor-index order, then one grant per free resource),
-and both engines share the same arbiter implementations.  A grant can
-only become newly possible at a completion or a new request — both of
-which are events — so granting only at event times loses nothing.
+Equivalence is by construction.  Both engines read the same lowered
+programs and share the arbiter implementations.  A grant can only
+become newly possible at a completion or a new request — both of which
+are events — so granting only at event times loses nothing.  Within one
+cycle the stepped engine frees every finished port, then advances the
+runnable processors in index order, then grants one waiting request per
+free port; this engine reproduces that outcome:
+
+* The events of one cycle leave the heap in processor-index order, and a
+  processor released by a barrier or a lock hand-off joins the same
+  cycle through the heap, so advances run in the stepped order.
+* FIFO grants in arrival order.  Requests are appended in ``(time,
+  seq)`` order, so a FIFO queue is only non-empty while every port is
+  busy: a request that finds a free port is granted at once, and a
+  completing grant hands its port to the queue head at once.  Either
+  way the same requests get the same ports in the same cycle as in the
+  stepped engine's grant phase.
+* Other arbiters pick from :class:`~repro.cycle.arbiter.Request` lists
+  after the cycle's last advance, exactly as the stepped engine does.
+
+The loop is flat.  State lives in lists indexed by processor, resource,
+barrier or lock, and the micro-ops are re-coded as ints once per run.  A
+heap entry is one int, ``time << shift | processor << 2 | kind``, whose
+kind says the processor's compute or idle run ends, its grant
+completes, or it was woken this cycle by a barrier or lock (not an event
+of its own).  A processor has at most one pending entry, so entries
+never tie.  ``cycles_executed`` counts the heap events, the ends and
+completions; wake-ups are not events.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Optional, Set
+from collections import Counter, deque
+from heapq import heappop, heappush, heappushpop
+from operator import length_hint
+from typing import Dict, List
 
 from ..core.errors import BudgetExceededError
 from ..workloads.trace import Workload, access_target
 from .arbiter import Request, make_arbiter
+from .program import MicroOp, lower_workload, stall_error
 from .program import coerce_workload as _coerce_workload
-from .program import lower_workload
-from .stats import CycleResult, StatsBuilder
+from .stats import CycleResult, GrantRecord, StatsBuilder
 
+# Int codes of the micro-ops.
+_COMPUTE = 0
+_ACCESS = 1
+_IDLE = 2
+_BARRIER = 3
+_LOCK = 4
+_UNLOCK = 5
+_OP_KINDS = {"access": _ACCESS, "idle": _IDLE, "barrier": _BARRIER,
+             "lock": _LOCK, "unlock": _UNLOCK}
 
-class _Proc:
-    """Per-processor cursor over its program."""
-
-    __slots__ = ("index", "program", "pc", "done")
-
-    def __init__(self, index: int, program):
-        self.index = index
-        self.program = program
-        self.pc = 0
-        self.done = False
-
-
-class _Resource:
-    """Queue plus in-flight services for one shared resource."""
-
-    __slots__ = ("name", "service", "queue", "busy", "ports", "arbiter")
-
-    def __init__(self, name: str, service: int, arbiter, ports: int = 1):
-        self.name = name
-        self.service = service
-        self.ports = ports
-        self.queue: List[Request] = []
-        #: Number of ports currently serving.
-        self.busy = 0
-        self.arbiter = arbiter
-
-
-class _Lock:
-    """A trace-level mutex: owner processor index plus FIFO waiters."""
-
-    __slots__ = ("owner", "waiters")
-
-    def __init__(self) -> None:
-        self.owner: Optional[int] = None
-        self.waiters: List[int] = []
+# Heap entry kinds (the low two bits).  _READY is 0, so a ready entry
+# is written ``time << shift | processor << 2``.
+_READY = 0
+_COMPLETE = 1
+_WOKEN = 2
 
 
 class EventEngine:
@@ -92,166 +94,266 @@ class EventEngine:
 
     def run(self) -> CycleResult:
         """Simulate to completion and return ground-truth statistics."""
-        procs = [_Proc(i, program)
-                 for i, program in enumerate(self.programs)]
-        stats = StatsBuilder(record_grants=self.record_grants)
-        for proc in procs:
-            stats.register_thread(proc.program.thread_name,
-                                  proc.program.processor.name)
-        resources: Dict[str, _Resource] = {}
-        for spec in self.workload.resources:
-            service = max(1, int(round(spec.service_time)))
-            resources[spec.name] = _Resource(
-                spec.name, service,
-                make_arbiter(self._arbiter_name, self._priorities),
-                ports=spec.ports)
-            stats.register_resource(spec.name, service)
-        resource_order = [resources[spec.name]
-                          for spec in self.workload.resources]
-        parties = self.workload.barrier_parties()
-        arrivals: Dict[str, List[int]] = {name: [] for name in parties}
-        locks: Dict[str, _Lock] = {name: _Lock()
-                                   for name in self.workload.lock_ids()}
+        workload = self.workload
+        programs = self.programs
+        nprocs = len(programs)
+        names = [program.thread_name for program in programs]
 
-        counter = itertools.count()
-        # Event kinds: ("ready", proc_index) and ("complete", resource).
-        heap: List = []
-        for proc in procs:
-            heapq.heappush(heap, (0, next(counter), "ready", proc.index))
+        # Resources, barriers and locks by index.
+        res_names = [spec.name for spec in workload.resources]
+        res_index = {name: r for r, name in enumerate(res_names)}
+        res_service = [max(1, int(round(spec.service_time)))
+                       for spec in workload.resources]
+        ports = [spec.ports for spec in workload.resources]
+        nres = len(res_names)
+        fifo = self._arbiter_name == "fifo"
+        arbiters = [make_arbiter(self._arbiter_name, self._priorities)
+                    for _ in range(nres)]
+        queues = [deque() if fifo else [] for _ in range(nres)]
+        busy = [0] * nres
+        parties_by_name = workload.barrier_parties()
+        barrier_names = list(parties_by_name)
+        barrier_index = {name: b for b, name in enumerate(barrier_names)}
+        parties = [parties_by_name[name] for name in barrier_names]
+        arrivals: List[List[int]] = [[] for _ in barrier_names]
+        lock_names = list(workload.lock_ids())
+        lock_index = {name: m for m, name in enumerate(lock_names)}
+        owner = [-1] * len(lock_names)
+        waiters = [deque() for _ in lock_names]
+
+        # Int-coded programs: one int ``operand << 3 | kind`` per op.
+        # A compute or idle op's operand is its cycle count, an
+        # access's indexes the (resource, beats, service cycles) table
+        # of distinct targets, a barrier or lock op's is its index.
+        acc_res: List[int] = []
+        acc_burst: List[int] = []
+        acc_service: List[int] = []
+        op_codes: Dict[MicroOp, int] = {}
+
+        def encode(op: MicroOp) -> int:
+            kind, arg = op
+            if kind == "access":
+                name, burst = access_target(arg)
+                r = res_index[name]
+                operand = len(acc_res)
+                acc_res.append(r)
+                acc_burst.append(burst)
+                acc_service.append(res_service[r] * burst)
+            elif kind == "idle":
+                operand = arg
+            elif kind == "barrier":
+                operand = barrier_index[str(arg)]
+            elif kind in ("lock", "unlock"):
+                operand = lock_index[str(arg)]
+            else:
+                raise TypeError(f"unknown micro-op {kind!r}")
+            code = op_codes[op] = operand << 3 | _OP_KINDS[kind]
+            return code
+
+        # A non-compute code is never 0 (its kind bits are not).
+        coded = [[op[1] << 3 if op[0] == "compute"
+                  else op_codes.get(op) or encode(op)
+                  for op in program.ops] for program in programs]
+        # Each processor's position in its program: an advance resumes
+        # the iterator where the last one stopped.
+        cursors = [iter(ops) for ops in coded]
+
+        # Only what the programs' positions cannot tell is counted as
+        # the run goes: waits, finish times and grant records.
+        serving = [0] * nprocs
+        wait = [0] * nprocs
+        finish = [0] * nprocs
+        res_wait = [0] * nres
+        grant_log: List[GrantRecord] = []
+        record = self.record_grants
+
+        def build(makespan: int, events: int) -> CycleResult:
+            """Fold the run so far into a :class:`CycleResult`.
+
+            A compute op counts when it starts and an access when it is
+            granted, so both follow from the ops each processor has
+            consumed, less an access still waiting in a queue.
+            """
+            queued = {entry[0] if fifo else entry.proc_index
+                      for queue in queues for entry in queue}
+            stats = StatsBuilder(record_grants=record)
+            for r, name in enumerate(res_names):
+                stats.register_resource(name, res_service[r])
+                stats.resource_wait[name] = res_wait[r]
+            for i, program in enumerate(programs):
+                name = names[i]
+                stats.register_thread(name, program.processor.name)
+                stats.wait[name] = wait[i]
+                stats.finish[name] = finish[i]
+                ops = coded[i]
+                consumed = (len(ops) - length_hint(cursors[i])
+                            - (i in queued))
+                for op, count in Counter(ops[:consumed]).items():
+                    kind = op & 7
+                    if kind == _COMPUTE:
+                        stats.compute[name] += (op >> 3) * count
+                    elif kind == _ACCESS:
+                        cycles = acc_service[op >> 3] * count
+                        resource = res_names[acc_res[op >> 3]]
+                        stats.accesses[name] += count
+                        stats.service[name] += cycles
+                        stats.resource_grants[resource] += count
+                        stats.resource_busy[resource] += cycles
+            # FIFO grants are logged as they happen; the stepped engine
+            # logs a cycle's grants resource by resource.
+            stats.grant_log = sorted(
+                grant_log,
+                key=lambda g: (g.grant_time, res_index[g.resource]))
+            return stats.build(makespan=makespan, cycles_executed=events)
+
+        shift = max(2, (4 * nprocs - 1).bit_length())
+        mask = (1 << shift) - 1
+        # Every processor is ready at cycle 0; sorted ints form a heap.
+        heap = [i << 2 | _READY for i in range(nprocs)]
+
+        def grant_queued(r: int, j: int, requested: int, cycles: int,
+                         now: int) -> None:
+            """Serve j's request, queued on resource r since cycle
+            ``requested``, from cycle ``now`` (the port is taken)."""
+            waited = now - requested
+            wait[j] += waited
+            res_wait[r] += waited
+            if record:
+                grant_log.append(GrantRecord(
+                    resource=res_names[r], thread=names[j],
+                    request_time=requested, grant_time=now,
+                    service=cycles))
+            serving[j] = r
+            heappush(heap, ((now + cycles) << shift) | (j << 2) | _COMPLETE)
 
         seq = 0
-        done = 0
+        finished = 0
         events = 0
-        total = len(procs)
+        t = 0
+        end = 0  # the first key past the current cycle
+        pending = -1  # the advanced processor's next entry, not pushed
+        max_events = self.max_events
         meter = self.budget.start() if self.budget is not None else None
 
-        while heap:
-            t = heap[0][0]
-            if meter is not None:
-                reason = meter.check(t, events)
-                if reason is not None:
-                    raise BudgetExceededError(
-                        reason,
-                        partial_result=stats.build(makespan=t,
-                                                   cycles_executed=events),
-                        budget=self.budget)
-            advance_set: Set[int] = set()
-            # Phase 1+2a: drain the batch; completions free resources.
-            while heap and heap[0][0] == t:
-                _, _, kind, payload = heapq.heappop(heap)
-                events += 1
-                if events > self.max_events:
-                    raise RuntimeError(
-                        f"event simulation exceeded {self.max_events} "
-                        f"events"
-                    )
-                if kind == "complete":
-                    resource_name, proc_index = payload
-                    resources[resource_name].busy -= 1
-                    advance_set.add(proc_index)
-                else:  # ready
-                    advance_set.add(payload)
-            # Phase 2b: advance in index order with barrier cascades.
-            work = sorted(advance_set)
-            while work:
-                work.sort()
-                index = work.pop(0)
-                proc = procs[index]
-                seq, finished = self._advance(
-                    proc, t, seq, resources, parties, arrivals, locks,
-                    stats, work, procs, heap, counter)
-                done += finished
-            # Phase 3: one grant per free port.
-            for resource in resource_order:
-                while resource.queue and resource.busy < resource.ports:
-                    request = resource.arbiter.pick(resource.queue)
-                    service = resource.service * request.burst
-                    stats.grant(resource.name, request.thread_name,
-                                t - request.time, service, now=t)
-                    resource.busy += 1
-                    heapq.heappush(
-                        heap, (t + service, next(counter),
-                               "complete",
-                               (resource.name, request.proc_index)))
-
-        if done < total:
-            blocked = [proc.program.thread_name for proc in procs
-                       if not proc.done]
-            raise RuntimeError(
-                f"event simulation stalled; threads parked forever at "
-                f"barriers: {blocked}"
-            )
-        makespan = max(stats.finish.values()) if stats.finish else 0
-        return stats.build(makespan=makespan, cycles_executed=events)
-
-    def _advance(self, proc: _Proc, t: int, seq: int,
-                 resources: Dict[str, _Resource],
-                 parties: Dict[str, int],
-                 arrivals: Dict[str, List[int]],
-                 locks: Dict[str, _Lock],
-                 stats: StatsBuilder,
-                 work: List[int],
-                 procs: List[_Proc],
-                 heap: List,
-                 counter):
-        """Run one processor's micro-ops until it blocks (see stepped)."""
-        name = proc.program.thread_name
-        ops = proc.program.ops
         while True:
-            if proc.pc >= len(ops):
-                proc.done = True
-                stats.finish[name] = t
-                return seq, 1
-            kind, arg = ops[proc.pc]
-            proc.pc += 1
-            if kind == "compute":
-                cycles = int(arg)
-                stats.compute[name] += cycles
-                heapq.heappush(heap, (t + cycles, next(counter), "ready",
-                                      proc.index))
-                return seq, 0
-            if kind == "access":
-                resource_name, burst = access_target(arg)
-                resource = resources[resource_name]
-                resource.queue.append(
-                    Request(proc_index=proc.index, thread_name=name,
-                            time=t, seq=seq, burst=burst))
-                seq += 1
-                return seq, 0
-            if kind == "idle":
-                heapq.heappush(heap, (t + int(arg), next(counter), "ready",
-                                      proc.index))
-                return seq, 0
-            if kind == "barrier":
-                barrier_id = str(arg)
-                arrived = arrivals[barrier_id]
-                arrived.append(proc.index)
-                if len(arrived) < parties[barrier_id]:
-                    return seq, 0
-                for other_index in arrived:
-                    if other_index != proc.index:
-                        work.append(other_index)
-                arrivals[barrier_id] = []
-                continue
-            if kind == "lock":
-                lock = locks[str(arg)]
-                if lock.owner is None:
-                    lock.owner = proc.index
-                    continue
-                lock.waiters.append(proc.index)
-                return seq, 0
-            if kind == "unlock":
-                lock = locks[str(arg)]
-                if lock.owner != proc.index:
+            if pending >= 0:
+                key = heappushpop(heap, pending)
+                pending = -1
+            elif heap:
+                key = heappop(heap)
+            else:
+                break
+            if key >= end:
+                t = key >> shift
+                end = (t + 1) << shift
+                if meter is not None:
+                    reason = meter.check(t, events)
+                    if reason is not None:
+                        raise BudgetExceededError(
+                            reason, partial_result=build(t, events),
+                            budget=self.budget)
+            low = key & mask
+            i = low >> 2
+            if low & 3 != _WOKEN:
+                events += 1
+                if events > max_events:
                     raise RuntimeError(
-                        f"thread {name!r} unlocked {arg!r} held by "
-                        f"{lock.owner!r}"
-                    )
-                if lock.waiters:
-                    next_owner = lock.waiters.pop(0)
-                    lock.owner = next_owner
-                    work.append(next_owner)
+                        f"event simulation exceeded {max_events} events")
+                if low & 3 == _COMPLETE:
+                    r = serving[i]
+                    queue = queues[r]
+                    if fifo and queue:
+                        # The freed port goes to the oldest request.
+                        grant_queued(r, *queue.popleft(), t)
+                    else:
+                        busy[r] -= 1
+            # Advance processor i until it blocks; its iterator resumes
+            # where the last advance stopped.
+            for op in cursors[i]:
+                kind = op & 7
+                arg = op >> 3
+                if kind == _COMPUTE:
+                    pending = ((t + arg) << shift) | (i << 2)
+                    break
+                if kind == _ACCESS:
+                    r = acc_res[arg]
+                    if not fifo:
+                        queues[r].append(Request(
+                            proc_index=i, thread_name=names[i], time=t,
+                            seq=seq, burst=acc_burst[arg]))
+                        seq += 1
+                    elif busy[r] < ports[r]:
+                        # A free port means an empty FIFO queue.
+                        cycles = acc_service[arg]
+                        if record:
+                            grant_log.append(GrantRecord(
+                                resource=res_names[r], thread=names[i],
+                                request_time=t, grant_time=t,
+                                service=cycles))
+                        busy[r] += 1
+                        serving[i] = r
+                        pending = (((t + cycles) << shift)
+                                   | (i << 2) | _COMPLETE)
+                    else:
+                        queues[r].append((i, t, acc_service[arg]))
+                    break
+                if kind == _IDLE:
+                    pending = ((t + arg) << shift) | (i << 2)
+                    break
+                if kind == _BARRIER:
+                    arrived = arrivals[arg]
+                    arrived.append(i)
+                    if len(arrived) < parties[arg]:
+                        break
+                    for other in arrived:
+                        if other != i:
+                            heappush(heap, (t << shift) | (other << 2)
+                                     | _WOKEN)
+                    arrivals[arg] = []
+                    continue  # the last arriver proceeds
+                if kind == _LOCK:
+                    if owner[arg] < 0:
+                        owner[arg] = i
+                        continue
+                    waiters[arg].append(i)
+                    break
+                # _UNLOCK
+                if owner[arg] != i:
+                    raise RuntimeError(
+                        f"thread {names[i]!r} unlocked "
+                        f"{lock_names[arg]!r} held by "
+                        f"{owner[arg] if owner[arg] >= 0 else None!r}")
+                if waiters[arg]:
+                    owner[arg] = waiters[arg].popleft()
+                    heappush(heap, (t << shift) | (owner[arg] << 2)
+                             | _WOKEN)
                 else:
-                    lock.owner = None
+                    owner[arg] = -1
+            else:
+                # The program ran to completion.
+                finish[i] = t
+                finished += 1
+            if fifo or (heap and heap[0] < end):
                 continue
-            raise TypeError(f"unknown micro-op {kind!r}")
+            # The cycle's last advance: the arbiter grants one waiting
+            # request per free port.
+            for r in range(nres):
+                queue = queues[r]
+                while queue and busy[r] < ports[r]:
+                    request = arbiters[r].pick(queue)
+                    busy[r] += 1
+                    grant_queued(r, request.proc_index, request.time,
+                                 res_service[r] * request.burst, t)
+
+        if finished < nprocs:
+            # Every unfinished processor waits at a barrier or a lock.
+            parked = {}
+            for b, arrived in enumerate(arrivals):
+                for j in arrived:
+                    parked[j] = ("barrier", barrier_names[b])
+            for m, queue in enumerate(waiters):
+                for j in queue:
+                    parked[j] = ("lock", lock_names[m])
+            raise stall_error(t, [(names[j], parked[j])
+                                  for j in sorted(parked)])
+        return build(max(finish) if nprocs else 0, events)

@@ -17,7 +17,7 @@ has no notion of a software scheduler unless one is part of the workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..workloads.trace import (BarrierOp, IdleOp, LockOp, Phase,
                                ProcessorSpec, UnlockOp, Workload,
@@ -123,6 +123,23 @@ def lower_workload(workload: Workload) -> List[Program]:
         programs.append(Program(thread_name=thread.name, processor=spec,
                                 ops=ops, priority=thread.priority))
     return programs
+
+
+def stall_error(cycle: int,
+                parked: Sequence[Tuple[str, MicroOp]]) -> RuntimeError:
+    """The error both engines raise when no thread can ever proceed.
+
+    ``parked`` lists ``(thread name, micro-op it is blocked on)`` in
+    processor order; each op is a ``("barrier", id)`` or a
+    ``("lock", id)``.  ``cycle`` is the last cycle anything happened.
+    """
+    waits = ", ".join(
+        f"{name!r} at barrier {arg!r}" if kind == "barrier"
+        else f"{name!r} on lock {arg!r}"
+        for name, (kind, arg) in parked)
+    return RuntimeError(
+        f"cycle simulation stalled at cycle {cycle}; threads blocked "
+        f"forever: {waits}")
 
 
 def coerce_workload(workload, budget):

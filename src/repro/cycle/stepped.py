@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from ..core.errors import BudgetExceededError
 from ..workloads.trace import Workload, access_target
 from .arbiter import Arbiter, Request, make_arbiter
-from .program import Program, lower_workload
+from .program import Program, lower_workload, stall_error
 from .program import coerce_workload as _coerce_workload
 from .stats import CycleResult, StatsBuilder
 
@@ -218,12 +218,10 @@ class SteppedEngine:
                 elif proc.state == _IDLE:
                     progress = True
             if not progress and done < total:
-                blocked = [proc.program.thread_name for proc in procs
-                           if proc.state in (_BARRIER, _LOCK_WAIT)]
-                raise RuntimeError(
-                    f"cycle simulation stalled at cycle {t}; threads "
-                    f"parked forever at barriers/locks: {blocked}"
-                )
+                raise stall_error(t, [
+                    (proc.program.thread_name, proc.program.ops[proc.pc - 1])
+                    for proc in procs
+                    if proc.state in (_BARRIER, _LOCK_WAIT)])
             t += 1
 
         makespan = max(stats.finish.values()) if stats.finish else 0

@@ -18,7 +18,9 @@ numbers as a benchmark trajectory (see :mod:`repro.perf.bench`):
 * ``calibration_grid`` — a calibration-style grid of slice demands
   evaluated scalar-loop vs one ``analyze_batch`` call; ratio gated.
 * ``cycle_engine`` — simulated cycles per second of the cycle-stepped
-  reference engine on the FFT workload.
+  reference engine on the FFT workload, grants per second of the
+  event-driven ground truth on the same workload, and whether the two
+  agree field for field (``results_match``).
 * ``sweep_cell`` — experiment sweep cells (one hybrid FFT run each)
   per second.
 
@@ -377,8 +379,10 @@ def calibration_grid(quick: bool = False) -> Dict[str, Any]:
 
 
 def cycle_engine(quick: bool = False) -> Dict[str, Any]:
-    """Simulated cycles/second of the stepped reference engine."""
-    from ..cycle import SteppedEngine
+    """Simulated cycles/second of the stepped reference engine, grants
+    per second of the event-driven ground truth, and whether the two
+    agree on every thread and resource field."""
+    from ..cycle import EventEngine, SteppedEngine
     from ..workloads.fft import fft_workload
 
     points = 256 if quick else 1024
@@ -386,10 +390,24 @@ def cycle_engine(quick: bool = False) -> Dict[str, Any]:
     start = time.perf_counter()
     result = SteppedEngine(workload).run()
     elapsed = time.perf_counter() - start
+    # The event engine is ~100x faster; time several runs (lowering
+    # included, as the ground-truth estimator pays it) for a steady rate.
+    event_runs = 3 if quick else 10
+    start = time.perf_counter()
+    for _ in range(event_runs):
+        event = EventEngine(workload).run()
+    event_elapsed = time.perf_counter() - start
+    grants = sum(r.grants for r in event.resources.values())
     return {
         "points": points,
         "cycles": result.cycles_executed,
         "cycles_per_sec": round(result.cycles_executed / elapsed, 1),
+        "event_grants": grants,
+        "event_grants_per_sec": round(
+            event_runs * grants / event_elapsed, 1),
+        "results_match": (result.makespan == event.makespan
+                          and result.threads == event.threads
+                          and result.resources == event.resources),
     }
 
 

@@ -313,42 +313,59 @@ def expand_phase(phase: Phase, power: float,
     cycles = int(round(phase.work / power))
     ops: List[Tuple[str, object]] = []
     n = phase.accesses
-    if phase.burst == 1:
-        access_arg: object = phase.resource
-    else:
-        access_arg = (phase.resource, phase.burst)
     if n == 0:
         if cycles:
             ops.append(("compute", cycles))
         return ops
+    # One shared (immutable) tuple serves every access of the phase.
+    if phase.burst == 1:
+        access: Tuple[str, object] = ("access", phase.resource)
+    else:
+        access = ("access", (phase.resource, phase.burst))
     if phase.pattern == "front":
-        ops.extend(("access", access_arg) for _ in range(n))
+        ops = [access] * n
         if cycles:
             ops.append(("compute", cycles))
     elif phase.pattern == "back":
         if cycles:
             ops.append(("compute", cycles))
-        ops.extend(("access", access_arg) for _ in range(n))
+        ops.extend([access] * n)
     elif phase.pattern == "random":
         rng = random.Random((phase.seed << 20) ^ salt ^ cycles ^ (n << 40))
-        cuts = sorted(rng.randrange(cycles + 1) for _ in range(n))
+        # The draws of ``rng.randrange(cycles + 1)``, inlined: for a
+        # bound m >= 1, ``random.Random`` rejection-samples
+        # ``getrandbits(m.bit_length())`` until the value is below m
+        # (CPython 3.10-3.13), and so does this loop.
+        getrandbits = rng.getrandbits
+        bound = cycles + 1
+        if bound < 1:  # randrange raised here; the loop would not end
+            raise ValueError(
+                f"power {power!r} lowers work {phase.work!r} to "
+                f"{cycles} cycles")
+        bits = bound.bit_length()
+        cuts = []
+        for _ in range(n):
+            cut = getrandbits(bits)
+            while cut >= bound:
+                cut = getrandbits(bits)
+            cuts.append(cut)
+        cuts.sort()
+        append = ops.append
         previous = 0
         for cut in cuts:
-            chunk = cut - previous
-            if chunk:
-                ops.append(("compute", chunk))
-            ops.append(("access", access_arg))
+            if cut != previous:
+                append(("compute", cut - previous))
+            append(access)
             previous = cut
-        tail = cycles - previous
-        if tail:
-            ops.append(("compute", tail))
+        if cycles != previous:
+            append(("compute", cycles - previous))
     else:  # uniform
         base, remainder = divmod(cycles, n)
         for i in range(n):
             chunk = base + (1 if i < remainder else 0)
             if chunk:
                 ops.append(("compute", chunk))
-            ops.append(("access", access_arg))
+            ops.append(access)
     return ops
 
 

@@ -1,7 +1,9 @@
 """Unit tests for bus arbiters."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cycle import arbiter as arbiter_module
 from repro.cycle.arbiter import (FifoArbiter, PriorityArbiter, Request,
                                  RoundRobinArbiter, make_arbiter)
 
@@ -44,6 +46,46 @@ class TestRoundRobin:
         arbiter._last = 2
         waiting = [req(0, 0, 0), req(1, 0, 1)]
         assert arbiter.pick(waiting).proc_index == 0
+
+    def test_modulus_computed_once_per_pick(self, monkeypatch):
+        calls = []
+        original = arbiter_module._rotation_modulus
+
+        def counting(waiting):
+            calls.append(len(waiting))
+            return original(waiting)
+
+        monkeypatch.setattr(arbiter_module, "_rotation_modulus", counting)
+        arbiter = RoundRobinArbiter()
+        waiting = [req(p, 0, p) for p in range(40)]
+        arbiter.pick(waiting)
+        assert calls == [40]
+
+    @settings(max_examples=60, deadline=None)
+    @given(procs=st.lists(st.integers(min_value=0, max_value=9),
+                          min_size=1, max_size=12),
+           last=st.integers(min_value=-1, max_value=11))
+    def test_grants_match_per_request_modulus(self, procs, last):
+        """Same grant order as recomputing the modulus for every key."""
+        def reference_pick(waiting, last):
+            def key(request):
+                offset = request.proc_index - last - 1
+                return (offset % (max(r.proc_index for r in waiting) + 2),
+                        request.seq)
+            best = min(waiting, key=key)
+            waiting.remove(best)
+            return best
+
+        waiting = [req(p, 0, seq) for seq, p in enumerate(procs)]
+        expected = list(waiting)
+        arbiter = RoundRobinArbiter()
+        arbiter._last = last
+        ref_last = last
+        while waiting:
+            got = arbiter.pick(waiting)
+            want = reference_pick(expected, ref_last)
+            ref_last = want.proc_index
+            assert got is want
 
 
 class TestPriority:

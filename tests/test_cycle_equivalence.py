@@ -12,28 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cycle import EventEngine, SteppedEngine
 from repro.workloads.synthetic import random_workload
-from repro.workloads.trace import (BarrierOp, Phase, ProcessorSpec,
-                                   ResourceSpec, ThreadTrace, Workload)
+from repro.workloads.trace import (BarrierOp, IdleOp, LockOp, Phase,
+                                   ProcessorSpec, ResourceSpec, ThreadTrace,
+                                   UnlockOp, Workload)
 
 
 def assert_identical(workload, arbiter="fifo"):
-    stepped = SteppedEngine(workload, arbiter=arbiter).run()
-    event = EventEngine(workload, arbiter=arbiter).run()
+    stepped = SteppedEngine(workload, arbiter=arbiter,
+                            record_grants=True).run()
+    event = EventEngine(workload, arbiter=arbiter,
+                        record_grants=True).run()
     assert stepped.makespan == event.makespan
-    assert stepped.queueing_cycles == event.queueing_cycles
-    for name in stepped.threads:
-        s = stepped.threads[name]
-        e = event.threads[name]
-        assert s.wait_cycles == e.wait_cycles, name
-        assert s.compute_cycles == e.compute_cycles, name
-        assert s.service_cycles == e.service_cycles, name
-        assert s.finish_time == e.finish_time, name
-        assert s.accesses == e.accesses, name
-    for name in stepped.resources:
-        assert (stepped.resources[name].grants
-                == event.resources[name].grants)
-        assert (stepped.resources[name].busy_cycles
-                == event.resources[name].busy_cycles)
+    # Frozen dataclasses compare every field: compute, service, wait,
+    # idle, accesses and finish per thread; service time, grants, busy
+    # and wait cycles per resource.
+    assert stepped.threads == event.threads
+    assert stepped.resources == event.resources
+    assert stepped.grants == event.grants
     return stepped
 
 
@@ -45,32 +40,52 @@ def test_random_workloads_identical(seed, arbiter):
     assert_identical(workload, arbiter)
 
 
-@settings(max_examples=25, deadline=None)
+def _locked_thread(rng, name, n_phases, locks, resources):
+    """Phases separated by barriers, some inside lock-guarded sections
+    (nested in a fixed order, so the workload cannot deadlock), some
+    followed by an idle gap."""
+    items = []
+    for p in range(n_phases):
+        held = [lock for lock in locks if rng.random() < 0.4]
+        items.extend(LockOp(lock) for lock in held)
+        items.append(Phase(work=rng.randint(0, 800),
+                           accesses=rng.randint(0, 30),
+                           resource=rng.choice(resources),
+                           pattern=rng.choice(["random", "uniform",
+                                               "front", "back"]),
+                           seed=rng.getrandbits(20),
+                           burst=rng.choice([1, 1, 2, 4])))
+        items.extend(UnlockOp(lock) for lock in reversed(held))
+        if rng.random() < 0.3:
+            items.append(IdleOp(rng.randint(1, 200)))
+        items.append(BarrierOp(f"b{p}"))
+    return ThreadTrace(name, items, affinity=f"p{name[1:]}",
+                       priority=rng.randint(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n_threads=st.integers(min_value=2, max_value=4),
        n_phases=st.integers(min_value=1, max_value=5),
-       service=st.integers(min_value=1, max_value=8))
+       service=st.integers(min_value=1, max_value=8),
+       ports=st.integers(min_value=1, max_value=3),
+       arbiter=st.sampled_from(["fifo", "roundrobin", "priority"]))
 def test_barrier_locked_workloads_identical(seed, n_threads, n_phases,
-                                            service):
+                                            service, ports, arbiter):
     rng = random.Random(seed)
-    threads = []
-    for t in range(n_threads):
-        items = []
-        for p in range(n_phases):
-            items.append(Phase(work=rng.randint(0, 800),
-                               accesses=rng.randint(0, 30),
-                               pattern="random",
-                               seed=rng.getrandbits(20)))
-            items.append(BarrierOp(f"b{p}"))
-        threads.append(ThreadTrace(f"t{t}", items, affinity=f"p{t}"))
+    locks = ["m0", "m1"][:rng.randint(1, 2)]
+    resources = ["bus", "mem"]
+    threads = [_locked_thread(rng, f"t{t}", n_phases, locks, resources)
+               for t in range(n_threads)]
     workload = Workload(
         threads=threads,
         processors=[ProcessorSpec(f"p{i}",
                                   rng.choice([0.5, 1.0, 2.0]))
                     for i in range(n_threads)],
-        resources=[ResourceSpec("bus", service)],
+        resources=[ResourceSpec("bus", service, ports=ports),
+                   ResourceSpec("mem", rng.randint(1, 6))],
     )
-    assert_identical(workload)
+    assert_identical(workload, arbiter)
 
 
 @settings(max_examples=15, deadline=None)

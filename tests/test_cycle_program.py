@@ -1,6 +1,9 @@
 """Unit tests for workload lowering to cycle-engine programs."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cycle.program import lower_workload
 from repro.workloads.trace import (BarrierOp, IdleOp, Phase, ProcessorSpec,
@@ -58,6 +61,38 @@ class TestExpandPhase:
         accesses = sum(1 for kind, _ in ops if kind == "access")
         assert compute == 977
         assert accesses == 31
+
+    @settings(max_examples=200, deadline=None)
+    @given(work=st.integers(min_value=0, max_value=5000),
+           accesses=st.integers(min_value=1, max_value=80),
+           seed=st.integers(min_value=0, max_value=2**20),
+           salt=st.integers(min_value=0, max_value=2**32 - 1),
+           burst=st.sampled_from([1, 4]),
+           power=st.sampled_from([0.5, 1.0, 1.25]))
+    def test_random_pattern_draws_match_randrange(self, work, accesses,
+                                                  seed, salt, burst, power):
+        """The inlined draws are ``random.Random.randrange``'s."""
+        phase = Phase(work=work, accesses=accesses, pattern="random",
+                      seed=seed, burst=burst)
+        cycles = int(round(work / power))
+        rng = random.Random((seed << 20) ^ salt ^ cycles ^ (accesses << 40))
+        cuts = sorted(rng.randrange(cycles + 1) for _ in range(accesses))
+        access = ("access", "bus" if burst == 1 else ("bus", burst))
+        expected = []
+        previous = 0
+        for cut in cuts:
+            if cut - previous:
+                expected.append(("compute", cut - previous))
+            expected.append(access)
+            previous = cut
+        if cycles - previous:
+            expected.append(("compute", cycles - previous))
+        assert expand_phase(phase, power, salt=salt) == expected
+
+    def test_random_pattern_rejects_negative_cycles(self):
+        phase = Phase(work=100, accesses=3, pattern="random", seed=1)
+        with pytest.raises(ValueError):
+            expand_phase(phase, -1.0)
 
     def test_power_scales_compute(self):
         ops = expand_phase(Phase(work=100), 2.0)

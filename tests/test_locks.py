@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cycle import EventEngine, SteppedEngine
 from repro.workloads.synthetic import critical_section_workload
 from repro.workloads.to_mesh import run_hybrid
-from repro.workloads.trace import (LockOp, Phase, ProcessorSpec,
-                                   ResourceSpec, ThreadTrace, UnlockOp,
-                                   Workload)
+from repro.workloads.trace import (BarrierOp, LockOp, Phase,
+                                   ProcessorSpec, ResourceSpec,
+                                   ThreadTrace, UnlockOp, Workload)
 from repro.contention import NullModel
 
 
@@ -119,6 +119,57 @@ class TestCycleEngineLocks:
         finishes = sorted(t.finish_time
                           for t in result.threads.values())
         assert finishes == [150, 200, 250]
+
+
+def ab_ba_workload(with_barrier=False):
+    """Two threads take locks A and B in opposite orders at the same
+    cycle; optionally a third thread waits at a barrier the first one
+    never reaches."""
+    built = [
+        ThreadTrace("a", [Phase(work=30), LockOp("A"), Phase(work=10),
+                          LockOp("B"), UnlockOp("B"), UnlockOp("A")]
+                    + ([BarrierOp("X")] if with_barrier else []),
+                    affinity="p0"),
+        ThreadTrace("b", [Phase(work=30), LockOp("B"), Phase(work=10),
+                          LockOp("A"), UnlockOp("A"), UnlockOp("B")],
+                    affinity="p1"),
+    ]
+    if with_barrier:
+        built.append(ThreadTrace("c", [Phase(work=5), BarrierOp("X")],
+                                 affinity="p2"))
+    return Workload(
+        threads=built,
+        processors=[ProcessorSpec(f"p{i}") for i in range(len(built))],
+        resources=[ResourceSpec("bus", 4)],
+    )
+
+
+class TestDeadlockDiagnostic:
+    """Both engines name every stuck thread, what it waits on, and the
+    cycle the simulation stalled at, in the same words."""
+
+    def _messages(self, workload):
+        messages = []
+        for engine_cls in (SteppedEngine, EventEngine):
+            with pytest.raises(RuntimeError) as info:
+                engine_cls(workload).run()
+            messages.append(str(info.value))
+        return messages
+
+    def test_ab_ba_lock_deadlock(self):
+        stepped, event = self._messages(ab_ba_workload())
+        assert stepped == event
+        assert event == (
+            "cycle simulation stalled at cycle 40; threads blocked "
+            "forever: 'a' on lock 'B', 'b' on lock 'A'")
+
+    def test_barrier_behind_a_deadlock(self):
+        stepped, event = self._messages(ab_ba_workload(with_barrier=True))
+        assert stepped == event
+        assert event == (
+            "cycle simulation stalled at cycle 40; threads blocked "
+            "forever: 'a' on lock 'B', 'b' on lock 'A', "
+            "'c' at barrier 'X'")
 
 
 class TestHybridLocks:

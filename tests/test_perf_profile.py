@@ -38,6 +38,16 @@ class TestRunProfile:
         assert "recorded_to" not in payload
         assert payload["scenarios"]["slice_analysis"]["slices_per_sec"] > 0
 
+    def test_cycle_engine_tracks_the_ground_truth_loop(self):
+        payload = profile_mod.run_profile(
+            scenarios=["cycle_engine"], quick=True, record=False)
+        metrics = payload["scenarios"]["cycle_engine"]
+        assert metrics["cycles_per_sec"] > 0
+        assert metrics["event_grants"] > 0
+        assert metrics["event_grants_per_sec"] > 0
+        assert metrics["results_match"] is True
+        assert payload["gate_metrics"] == []
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             profile_mod.run_profile(scenarios=["nope"], record=False)
