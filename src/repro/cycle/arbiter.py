@@ -61,8 +61,11 @@ class RoundRobinArbiter(Arbiter):
         self._last = -1
 
     def pick(self, waiting: List[Request]) -> Request:
-        modulus = _rotation_modulus(waiting)
         start = self._last + 1
+        # The modulus must reach ``start`` too: below it, ``(index -
+        # start) % modulus`` no longer orders indices cyclically from
+        # ``start`` (with ``_last = 3`` and 0, 1 waiting it picked 1).
+        modulus = max(_rotation_modulus(waiting), start)
 
         def rotation_key(request: Request):
             return ((request.proc_index - start) % modulus, request.seq)
@@ -74,7 +77,7 @@ class RoundRobinArbiter(Arbiter):
 
 
 def _rotation_modulus(waiting: List[Request]) -> int:
-    """A modulus safely larger than any waiting processor index."""
+    """A modulus larger than any waiting processor index."""
     return max(r.proc_index for r in waiting) + 2
 
 

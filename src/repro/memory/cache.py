@@ -148,11 +148,21 @@ class Cache:
         first = start >> self._line_shift
         last = (max(start, end - 1)) >> self._line_shift
         dropped = 0
-        for ways in self._sets:
-            stale = [tag for tag in ways if first <= tag <= last]
-            for tag in stale:
-                del ways[tag]
-                dropped += 1
+        if last - first < self.num_sets * self.associativity:
+            # Fewer lines in the range than the cache can hold: probe
+            # each one in its set rather than scan every resident way.
+            sets, mask = self._sets, self._set_mask
+            for tag in range(first, last + 1):
+                ways = sets[tag & mask]
+                if tag in ways:
+                    del ways[tag]
+                    dropped += 1
+        else:
+            for ways in self._sets:
+                stale = [tag for tag in ways if first <= tag <= last]
+                for tag in stale:
+                    del ways[tag]
+                    dropped += 1
         self.stats.invalidations += dropped
         return dropped
 

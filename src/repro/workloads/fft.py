@@ -27,13 +27,21 @@ This generator rebuilds that structure from first principles:
 With a 512KB cache the row phases run almost entirely out of cache and
 the traffic is strongly phase-bursty; with 8KB, capacity misses make
 every phase bus-active — the paper's two contrast regimes.
+
+The bus counts depend only on the cache geometry and the matrix and
+processor shape, not on the bus delay or the seed, so the cache
+simulation (:func:`_bus_counts`) is memoized per process: a design
+sweep over bus delays simulates each cache configuration once, and
+every call still assembles fresh trace objects around the counts.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..memory import Cache, run_stream
 from ..memory.addrgen import row_walk, transpose_walk
@@ -46,6 +54,11 @@ ELEM_BYTES = 16
 FFT_OPS_PER_POINT = 5.0
 #: Address-arithmetic + copy operations per element in a transpose.
 TRANSPOSE_OPS_PER_ELEM = 12.0
+#: The six-step structure as ``(kind, source, destination)`` over the
+#: two matrices A (0) and B (1), stored contiguously, row-major:
+#: T(A->B), F(B), T(B->A), F(A), T(A->B).  A barrier follows each step.
+_STEPS = (("transpose", 0, 1), ("fft", 1, None), ("transpose", 1, 0),
+         ("fft", 0, None), ("transpose", 0, 1))
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,9 @@ def fft_workload(points: int = 4096, processors: int = 4,
 
     Returns a :class:`~repro.workloads.trace.Workload` with one pinned
     thread per processor and barrier-separated phases; the phases' bus
-    access counts come from per-processor cache simulation.
+    access counts come from per-processor cache simulation
+    (:func:`_bus_counts`, memoized per process on the cache geometry and
+    the matrix/processor shape).  Every call returns fresh objects.
     """
     config = FFTConfig(points=points, processors=processors,
                        cache_kb=cache_kb, line_bytes=line_bytes,
@@ -105,62 +120,27 @@ def fft_workload(points: int = 4096, processors: int = 4,
     side = config.side
     rows_per_proc = side // processors
     log_side = int(math.log2(side))
-
-    # Memory map: matrix A, matrix B, contiguous, row-major.
-    matrix_bytes = points * ELEM_BYTES
-    base_a = 0
-    base_b = matrix_bytes
-
     transpose_work = TRANSPOSE_OPS_PER_ELEM * rows_per_proc * side
     fft_work = FFT_OPS_PER_POINT * rows_per_proc * side * log_side
+    counts = _bus_counts(points, processors, cache_kb, line_bytes,
+                         associativity)
 
     threads: List[ThreadTrace] = []
-    for p in range(processors):
-        cache = Cache(cache_kb * 1024, line_bytes=line_bytes,
-                      associativity=associativity)
-        my_rows = range(p * rows_per_proc, (p + 1) * rows_per_proc)
+    for p, step_counts in enumerate(counts):
         items: List[object] = []
-        barrier_index = 0
-
-        def barrier():
-            nonlocal barrier_index
-            items.append(BarrierOp(f"fft_b{barrier_index}"))
-            barrier_index += 1
-
-        # The six-step structure: T(A->B), F(B), T(B->A), F(A), T(A->B).
-        steps = [("transpose", base_a, base_b), ("fft", base_b, None),
-                 ("transpose", base_b, base_a), ("fft", base_a, None),
-                 ("transpose", base_a, base_b)]
-        for step_index, (kind, src, dst) in enumerate(steps):
+        for step_index, ((kind, _, _), accesses) in enumerate(
+                zip(_STEPS, step_counts)):
             if kind == "transpose":
-                _invalidate_remote(cache, src, matrix_bytes, my_rows,
-                                   side)
-                stream = transpose_walk(src, dst, my_rows, side,
-                                        ELEM_BYTES)
-                profile = run_stream(cache, stream)
-                items.append(Phase(
-                    work=transpose_work,
-                    accesses=profile.bus_accesses,
-                    pattern="random",
-                    seed=config.seed * 1009 + step_index * 31 + p,
-                ))
+                work, seed_offset = transpose_work, 0
             else:
-                misses = 0
-                writebacks = 0
-                for row in my_rows:
-                    profile = run_stream(
-                        cache,
-                        row_walk(src, row, side, ELEM_BYTES,
-                                 passes=log_side))
-                    misses += profile.misses
-                    writebacks += profile.writebacks
-                items.append(Phase(
-                    work=fft_work,
-                    accesses=misses + writebacks,
-                    pattern="random",
-                    seed=config.seed * 1009 + step_index * 31 + p + 7,
-                ))
-            barrier()
+                work, seed_offset = fft_work, 7
+            items.append(Phase(
+                work=work,
+                accesses=accesses,
+                pattern="random",
+                seed=config.seed * 1009 + step_index * 31 + p + seed_offset,
+            ))
+            items.append(BarrierOp(f"fft_b{step_index}"))
         threads.append(ThreadTrace(f"fft_p{p}", items,
                                    affinity=f"cpu{p}"))
 
@@ -169,6 +149,48 @@ def fft_workload(points: int = 4096, processors: int = 4,
         processors=[ProcessorSpec(f"cpu{p}") for p in range(processors)],
         resources=[ResourceSpec("bus", bus_service)],
     )
+
+
+# ``typed``: an int and an equal float are different keys, so a float
+# argument fails in ``Cache`` as it would without the memo.
+@functools.lru_cache(maxsize=64, typed=True)
+def _bus_counts(points: int, processors: int, cache_kb: int,
+                line_bytes: int,
+                associativity: int) -> Tuple[Tuple[int, ...], ...]:
+    """Each processor's bus accesses in each of the five ``_STEPS``.
+
+    Runs every processor's transpose and row-FFT address streams through
+    its own private cache, invalidating remotely written rows before
+    each transpose.  The result is a pure function of the arguments —
+    the bus delay and the phase seeds do not enter it — so it is
+    memoized; it holds only ints, never a mutable object.  Callers
+    validate the configuration first (:meth:`FFTConfig.validate`).
+    """
+    side = math.isqrt(points)
+    rows_per_proc = side // processors
+    log_side = int(math.log2(side))
+    matrix_bytes = points * ELEM_BYTES
+    counts = []
+    for p in range(processors):
+        cache = Cache(cache_kb * 1024, line_bytes=line_bytes,
+                      associativity=associativity)
+        my_rows = range(p * rows_per_proc, (p + 1) * rows_per_proc)
+        step_counts = []
+        for kind, src, dst in _STEPS:
+            src_base = src * matrix_bytes
+            if kind == "transpose":
+                _invalidate_remote(cache, src_base, matrix_bytes, my_rows,
+                                   side)
+                stream = transpose_walk(src_base, dst * matrix_bytes,
+                                        my_rows, side, ELEM_BYTES)
+            else:
+                stream = itertools.chain.from_iterable(
+                    row_walk(src_base, row, side, ELEM_BYTES,
+                             passes=log_side)
+                    for row in my_rows)
+            step_counts.append(run_stream(cache, stream).bus_accesses)
+        counts.append(tuple(step_counts))
+    return tuple(counts)
 
 
 def _invalidate_remote(cache: Cache, base: int, matrix_bytes: int,

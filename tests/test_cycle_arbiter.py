@@ -47,6 +47,12 @@ class TestRoundRobin:
         waiting = [req(0, 0, 0), req(1, 0, 1)]
         assert arbiter.pick(waiting).proc_index == 0
 
+    def test_wraps_past_a_last_grant_above_every_waiter(self):
+        arbiter = RoundRobinArbiter()
+        arbiter._last = 3
+        waiting = [req(0, 0, 0), req(1, 0, 1)]
+        assert arbiter.pick(waiting).proc_index == 0
+
     def test_modulus_computed_once_per_pick(self, monkeypatch):
         calls = []
         original = arbiter_module._rotation_modulus
@@ -66,12 +72,14 @@ class TestRoundRobin:
                           min_size=1, max_size=12),
            last=st.integers(min_value=-1, max_value=11))
     def test_grants_match_per_request_modulus(self, procs, last):
-        """Same grant order as recomputing the modulus for every key."""
+        """Same grant order as recomputing the modulus for every key:
+        the first waiting index after ``last``, cyclically."""
         def reference_pick(waiting, last):
             def key(request):
                 offset = request.proc_index - last - 1
-                return (offset % (max(r.proc_index for r in waiting) + 2),
-                        request.seq)
+                modulus = max([r.proc_index for r in waiting]
+                              + [last]) + 2
+                return (offset % modulus, request.seq)
             best = min(waiting, key=key)
             waiting.remove(best)
             return best

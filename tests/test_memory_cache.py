@@ -1,6 +1,7 @@
 """Unit tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memory import Cache
 
@@ -138,6 +139,51 @@ class TestInvalidation:
         cache = small_cache()
         cache.read(0x500)
         assert cache.invalidate_range(0x000, 0x020) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           line_shift=st.integers(min_value=2, max_value=6),
+           assoc=st.integers(min_value=1, max_value=4),
+           set_shift=st.integers(min_value=0, max_value=6))
+    def test_matches_full_scan_reference(self, data, line_shift, assoc,
+                                         set_shift):
+        """Same drops, counters and surviving LRU order as scanning
+        every set, for ranges narrower and wider than the cache."""
+        line = 1 << line_shift
+        capacity = line * assoc * (1 << set_shift)
+        span = 4 * capacity
+        fill = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=span),
+                      st.booleans()), max_size=120))
+        ranges = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=span),
+                      st.integers(min_value=-2 * line, max_value=span)),
+            min_size=1, max_size=4))
+        cache = Cache(capacity, line_bytes=line, associativity=assoc)
+        reference = Cache(capacity, line_bytes=line, associativity=assoc)
+        for address, write in fill:
+            cache.access(address, write=write)
+            reference.access(address, write=write)
+        for start, length in ranges:
+            assert (cache.invalidate_range(start, start + length)
+                    == full_scan_invalidate(reference, start,
+                                            start + length))
+            assert cache.stats == reference.stats
+            assert ([list(ways.items()) for ways in cache._sets]
+                    == [list(ways.items()) for ways in reference._sets])
+
+
+def full_scan_invalidate(cache, start, end):
+    """``Cache.invalidate_range`` by definition: scan every set."""
+    first = start >> cache._line_shift
+    last = max(start, end - 1) >> cache._line_shift
+    dropped = 0
+    for ways in cache._sets:
+        for tag in [tag for tag in ways if first <= tag <= last]:
+            del ways[tag]
+            dropped += 1
+    cache.stats.invalidations += dropped
+    return dropped
 
 
 class TestStats:
