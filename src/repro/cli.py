@@ -69,12 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     batching = argparse.ArgumentParser(add_help=False)
     batching.add_argument(
         "--batch-cells", type=int, default=0, metavar="N",
-        help="batched grid replay: warm cold mesh cells through the "
-             "SoA batched replayer before dispatch, compiling each "
-             "spec once into a content-addressed program store and "
-             "replaying up to N cells per batch (-1 = whole grid in "
-             "one batch, 0 = off); execution-only — never changes "
-             "spec hashes or results")
+        help="mesh prepass: non-zero warms cold mesh cells before "
+             "dispatch by compiling and replaying each SoA-eligible "
+             "spec in memory (0 = off); execution-only — never "
+             "changes spec hashes or results")
 
     fig4 = sub.add_parser("fig4", parents=[jobs, cache, engine],
                           help="FFT queueing vs processor count")
@@ -250,10 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = pick an ephemeral port)")
     serve.add_argument("--batch-cells", type=int, default=-1,
                        metavar="N",
-                       help="SoA prepass batch size for drained cold "
-                            "cells (-1 = whole batch at once, 0 = "
-                            "off); execution-only — never changes "
-                            "results")
+                       help="mesh prepass for drained cold cells: "
+                            "non-zero compiles and replays each "
+                            "SoA-eligible spec in memory before the "
+                            "per-cell path (0 = off); execution-only "
+                            "— never changes results")
     serve.add_argument("--deadline-seconds", type=float, default=30.0,
                        metavar="SECONDS",
                        help="default per-request wall-clock deadline "

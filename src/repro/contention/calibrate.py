@@ -105,8 +105,7 @@ def calibrate_model(model: ContentionModel,
                     seed: int = 3,
                     jobs: int = 1,
                     store=None,
-                    batch_cells: int = 0,
-                    program_store=None) -> List[CalibrationPoint]:
+                    batch_cells: int = 0) -> List[CalibrationPoint]:
     """Sweep utilization and compare ``model`` to the cycle engine.
 
     Each sweep point builds a symmetric workload of ``threads`` uniform
@@ -123,10 +122,10 @@ def calibrate_model(model: ContentionModel,
 
     With a ``store`` (a :class:`~repro.scenario.store.RunStore` or root
     path) and non-zero ``batch_cells``, the matching
-    :func:`calibration_specs` grid is warmed through the batched mesh
-    prepass first — cold cells compile-or-load from the
-    content-addressed ``program_store`` and batch-replay into the run
-    store — so a subsequent ``repro sweep --grid calibration`` (or any
+    :func:`calibration_specs` grid is warmed through the mesh prepass
+    first (:meth:`~repro.engine.session.ExecutionSession.prepass`:
+    cold cells compile and replay in memory into the run store) — so a
+    subsequent ``repro sweep --grid calibration`` (or any
     spec-driven evaluation of the same grid) starts warm.  Purely an
     execution choice: the calibration points themselves are measured by
     the cycle engine either way and are unaffected.
@@ -136,15 +135,13 @@ def calibrate_model(model: ContentionModel,
     from ..perf.parallel import ParallelExecutor
 
     if store is not None and batch_cells:
-        from ..experiments.runner import batched_mesh_prepass
+        from ..engine.session import ExecutionSession
 
-        batched_mesh_prepass(
+        ExecutionSession(store=store).prepass(
             calibration_specs(threads=threads, service_time=service_time,
                               phase_work=phase_work,
                               access_sweep=access_sweep, phases=phases,
-                              seed=seed),
-            store, program_store=program_store,
-            batch_cells=max(batch_cells, 0))
+                              seed=seed))
 
     sweep = list(access_sweep)
     with ParallelExecutor(jobs) as executor:

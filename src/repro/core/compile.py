@@ -65,15 +65,6 @@ def numpy_available() -> bool:
 #: (the FIFO family: single ready-order scan honoring affinity).
 _SOA_SCHEDULERS = (None, "fifo", "pinned")
 
-#: Version of the compiled subset / :class:`SoAProgram` layout.  Bumped
-#: whenever the lowering or the program's array semantics change, it is
-#: folded into :func:`repro.core.programstore.program_hash` so cached
-#: serialized programs from an older lowering can never be replayed by
-#: a newer runtime.  (v1: PR 7 consume-only subset; v2: PR 8 widened
-#: sync subset + op streams; v3: hoisted NumPy segment boundaries +
-#: serializable program layout.)
-COMPILE_SUBSET_VERSION = 3
-
 #: Op-stream opcodes.  ``OP_REGION``'s arg is the thread-local region
 #: index; the sync opcodes carry a program-wide barrier/mutex index.
 OP_REGION = 0
@@ -120,13 +111,12 @@ class SoAProgram:
     """
 
     __slots__ = (
-        "thread_names", "thread_priorities", "thread_affinity",
-        "thread_release", "region_counts", "region_durations",
-        "region_complexity", "region_extra", "region_accesses",
-        "region_bursts", "resource_names", "resource_service",
-        "resource_ports", "resource_models", "resource_uses_priorities",
-        "resource_fast", "min_timeslice", "processor_powers",
-        "processor_names", "registered_regions", "has_bursts",
+        "thread_names", "thread_affinity", "region_counts",
+        "region_durations", "region_complexity", "region_extra",
+        "region_accesses", "region_bursts", "resource_names",
+        "resource_service", "resource_ports", "resource_models",
+        "resource_uses_priorities", "resource_fast", "min_timeslice",
+        "processor_powers", "registered_regions", "has_bursts",
         "thread_ops", "barriers", "barrier_parties", "mutexes",
         "has_sync",
     )
@@ -134,10 +124,8 @@ class SoAProgram:
     def __init__(self) -> None:
         # -- threads (index-aligned with kernel.threads) ----------------
         self.thread_names: List[str] = []
-        self.thread_priorities: List[int] = []
         #: Processor index the thread is pinned to, or ``None``.
         self.thread_affinity: List[Optional[int]] = []
-        self.thread_release: List[float] = []
         self.region_counts: List[int] = []
         # -- per-thread region streams ----------------------------------
         #: Pre-resolved region durations (``None`` for unpinned threads
@@ -161,10 +149,6 @@ class SoAProgram:
         self.resource_fast: List[Optional[Tuple[str, Optional[float]]]] = []
         self.min_timeslice: float = 0.0
         self.processor_powers: List[float] = []
-        #: Processor names, index-aligned with :attr:`processor_powers`
-        #: — lets :mod:`repro.core.programstore` rebuild a replayable
-        #: kernel from the serialized program without the workload.
-        self.processor_names: List[str] = []
         #: Regions with accesses (the incremental-accounting
         #: ``regions_registered`` counter, known statically).
         self.registered_regions: int = 0
@@ -218,8 +202,6 @@ def compile_kernel(kernel) -> SoAProgram:
     program.min_timeslice = kernel.us.min_timeslice
     powers = [processor.power for processor in kernel.processors]
     program.processor_powers = powers
-    program.processor_names = [processor.name
-                               for processor in kernel.processors]
     homogeneous = len(set(powers)) == 1
     processor_index = {processor.name: index
                        for index, processor in enumerate(kernel.processors)}
@@ -257,11 +239,9 @@ def compile_kernel(kernel) -> SoAProgram:
     for thread in kernel.threads:
         events = _probe_body(thread)
         program.thread_names.append(thread.name)
-        program.thread_priorities.append(thread.priority)
         affinity = (processor_index[thread.affinity]
                     if thread.affinity is not None else None)
         program.thread_affinity.append(affinity)
-        program.thread_release.append(thread.release_time)
         complexity = []
         extra = []
         accesses = []

@@ -1,16 +1,14 @@
 """One execution path for every front end: the ExecutionSession facade.
 
 Before this module existed, the store-probe -> spec-level fallback
-probe -> compile-or-load -> replay -> store-commit sequence was
-reimplemented three times: in ``run_comparison`` (per cell), in the
-batched mesh prepass (per grid), and in the sweep supervisor (per
-shard).  Three copies of the same contract is two too many for a
-serving stack, so :class:`ExecutionSession` now owns the sequence and
-everything it needs:
+probe -> compile -> replay -> store-commit sequence was reimplemented
+three times: in ``run_comparison`` (per cell), in the mesh prepass
+(per grid), and in the sweep supervisor (per shard).  Three copies of
+the same contract is two too many for a serving stack, so
+:class:`ExecutionSession` now owns the sequence and everything it
+needs:
 
-* the content-addressed :class:`~repro.scenario.store.RunStore` and its
-  companion :class:`~repro.core.programstore.ProgramStore` (derived
-  lazily from the run store's root and code-version namespace);
+* the content-addressed :class:`~repro.scenario.store.RunStore`;
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
@@ -43,9 +41,8 @@ verbatim — the method bodies *are* the original code, moved:
 * engine routing records a fallback reason on every divergence (zero
   silent divergence), exactly as the kernel itself does.
 
-:func:`repro.experiments.runner.run_comparison`,
-:func:`~repro.experiments.runner.run_comparisons_parallel`, and
-:func:`~repro.experiments.runner.batched_mesh_prepass` are now thin
+:func:`repro.experiments.runner.run_comparison` and
+:func:`~repro.experiments.runner.run_comparisons_parallel` are thin
 wrappers over an (ephemeral) session, the sweep supervisor holds one
 for probe/prepass/dispatch, and the service holds one for its whole
 lifetime.
@@ -191,8 +188,7 @@ def _prepass_counters() -> Dict[str, object]:
     """Zeroed counters of one :meth:`ExecutionSession.prepass` call."""
     return {"cells_total": 0, "cells_cold": 0, "cells_batched": 0,
             "cells_skipped": 0, "cells_failed": 0, "compiles": 0,
-            "program_loads": 0, "backend_used": {},
-            "failures": {}, "wall_seconds": 0.0}
+            "backend_used": {}, "failures": {}, "wall_seconds": 0.0}
 
 
 def _comparison_cell(kwargs: Dict, workload) -> Comparison:
@@ -223,11 +219,6 @@ class ExecutionSession:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  The session probes it before running anything and
         commits every computed estimator payload back.
-    program_store:
-        Optional :class:`~repro.core.programstore.ProgramStore` (or
-        root path) for compiled SoA programs; defaults to
-        ``<store root>/programs`` in the run store's code-version
-        namespace, created lazily on the first prepass.
     engine / iss_engine:
         Session-wide execution defaults (``engine="soa"``,
         ``iss_engine="event"`` ...), overridable per call.  Pure
@@ -239,12 +230,12 @@ class ExecutionSession:
         spawned lazily on the first parallel :meth:`map_comparisons`
         and stays warm until :meth:`close`.
     batch_cells:
-        Default batched-prepass chunk size for :meth:`map_comparisons`
-        (``0`` disables the prepass, ``-1``/``None`` on the call means
-        "use this default").
+        Default for :meth:`map_comparisons`: non-zero runs the mesh
+        :meth:`prepass` before the per-cell path, ``0`` disables it
+        (``None`` on the call means "use this default").
     """
 
-    def __init__(self, store=None, program_store=None,
+    def __init__(self, store=None,
                  engine: Optional[str] = None,
                  iss_engine: str = "event",
                  jobs: int = 1,
@@ -252,7 +243,6 @@ class ExecutionSession:
         from ..scenario.store import as_store
 
         self.store = as_store(store)
-        self._program_store = program_store
         self.engine = engine
         self.iss_engine = iss_engine
         self.jobs = jobs
@@ -287,28 +277,6 @@ class ExecutionSession:
             if self._executor is None:
                 self._executor = ParallelExecutor(self.jobs)
             return self._executor
-
-    @property
-    def program_store(self):
-        """The compiled-program store (derived lazily; may be ``None``).
-
-        ``None`` until a run store exists to anchor the default root —
-        program caching without a run store to warm has no consumer.
-        """
-        from ..core.programstore import ProgramStore
-
-        if isinstance(self._program_store, ProgramStore):
-            return self._program_store
-        if self._program_store is not None:
-            self._program_store = ProgramStore(
-                self._program_store,
-                version=(self.store.version if self.store is not None
-                         else None))
-            return self._program_store
-        if self.store is None:
-            return None
-        self._program_store = ProgramStore.for_run_store(self.store)
-        return self._program_store
 
     def close(self) -> None:
         """Shut down the warm worker pool (idempotent)."""
@@ -359,11 +327,6 @@ class ExecutionSession:
             }
         snapshot["store"] = (self.store.stats()
                              if self.store is not None else None)
-        from ..core.programstore import ProgramStore
-
-        snapshot["program_store"] = (
-            self._program_store.stats()
-            if isinstance(self._program_store, ProgramStore) else None)
         return snapshot
 
     # -- the grid scope -----------------------------------------------
@@ -630,38 +593,38 @@ class ExecutionSession:
 
     def prepass(self, specs: Sequence,
                 batch_cells: Optional[int] = None) -> Dict[str, object]:
-        """Warm the run store's ``mesh`` artifacts in batched replays.
+        """Warm the run store's ``mesh`` artifacts for a grid.
 
-        The grid-granularity execution tier (see
-        :func:`~repro.experiments.runner.batched_mesh_prepass` for the
-        full contract): cold cells inside the SoA compiled subset are
-        compiled **or** loaded from the session's program store in
-        deterministic ``spec_hash``-sorted order, replayed, and
-        committed into the run store with exactly the payload
-        :meth:`comparison` would have written (only ``wall_seconds``,
-        an environment measurement, differs).
+        Cold cells (no ``mesh`` artifact in the store) whose specs sit
+        inside the SoA compiled subset are taken in deterministic
+        ``spec_hash``-sorted order; each is built, lowered to a kernel,
+        compiled, replayed through the kernel's own replay loop (the
+        call ``engine="soa"`` makes), and committed with exactly the
+        payload :meth:`comparison` would have written.  Only
+        ``wall_seconds``, an environment measurement, differs; like the
+        per-cell mesh timing it spans the kernel build, the compile and
+        the replay.  Nothing but run-store artifacts is written.
 
-        No failure is silent: a cell whose kernel build, compile or
-        result export raises, and every cell of a replay group that
-        raises, is left to the per-cell path and counted in
-        ``cells_failed``, with its reason (``build: TypeError``,
-        ``replay: ...``, ``export: ...``) tallied under ``failures``.
+        Each cell is compiled and replayed on its own, so
+        ``batch_cells`` changes nothing here; callers pass it through
+        :meth:`map_comparisons`, where non-zero enables this prepass.
+
+        No failure is silent: a cell whose kernel build, compile,
+        replay or result export raises is left to the per-cell path
+        and counted in ``cells_failed``, with its reason (``build:
+        TypeError``, ``replay: ...``, ``export: ...``) tallied under
+        ``failures``.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
-        from ..core.programstore import (build_replay_kernel,
-                                         program_hash, replay_batch)
         from ..scenario.spec import ScenarioSpec
         from ..workloads.to_mesh import build_kernel as build_mesh_kernel
 
-        if batch_cells is None:
-            batch_cells = self.batch_cells
         counters = _prepass_counters()
         store = self.store
         if store is None:
             return counters
         start = time.perf_counter()
-        program_store = self.program_store
         unique: Dict[str, ScenarioSpec] = {}
         for spec in specs:
             if isinstance(spec, ScenarioSpec) and spec.kind == "workload":
@@ -669,15 +632,15 @@ class ExecutionSession:
         ordered = sorted(unique.items())
         counters["cells_total"] = len(ordered)
         failures: Dict[str, int] = counters["failures"]
+        tally: Dict[str, int] = counters["backend_used"]
 
-        def fail(stage: str, err: Exception, cells: int = 1) -> None:
-            # Leave the cells cold: the per-cell path reproduces the
+        def fail(stage: str, err: Exception) -> None:
+            # Leave the cell cold: the per-cell path reproduces the
             # canonical diagnostic with full error capture.
-            counters["cells_failed"] += cells
+            counters["cells_failed"] += 1
             reason = f"{stage}: {type(err).__name__}"
-            failures[reason] = failures.get(reason, 0) + cells
+            failures[reason] = failures.get(reason, 0) + 1
 
-        cells = []  # (key, kernel, program, busy_reference)
         for spec_hash, spec in ordered:
             key = artifact_keys(spec, ("mesh",), spec_hash)["mesh"]
             if (key, "mesh") in store:
@@ -686,73 +649,48 @@ class ExecutionSession:
             if soa_spec_fallback_reason(spec) is not None:
                 counters["cells_skipped"] += 1
                 continue
-            phash = program_hash(spec_hash,
-                                 version=program_store.version)
-            hit = program_store.get(phash)
             try:
-                if hit is not None:
-                    program, aux = hit
-                    kernel = build_replay_kernel(spec, program)
-                else:
-                    workload = spec.build_workload()
-                    self._count(workload_builds=1)
-                    kernel = build_mesh_kernel(workload,
-                                               **spec.kernel_kwargs())
+                workload = spec.build_workload()
+                self._count(workload_builds=1)
+                cell_start = time.perf_counter()
+                kernel = build_mesh_kernel(workload,
+                                           **spec.kernel_kwargs())
             except Exception as err:
                 fail("build", err)
                 continue
-            if hit is not None:
-                busy_reference = float(aux.get("busy_reference", 0.0))
-                counters["program_loads"] += 1
-            else:
-                try:
-                    program = compile_kernel(kernel)
-                except UnsupportedFeatureError:
-                    counters["cells_skipped"] += 1
-                    continue
-                except Exception as err:
-                    fail("compile", err)
-                    continue
-                profiles = self._characterize(spec.workload_hash(),
-                                              lambda: workload)
-                busy_reference = sum(p.busy_cycles
-                                     for p in profiles.values())
-                program_store.put(phash, program,
-                                  {"spec_hash": spec_hash,
-                                   "busy_reference": busy_reference})
-                program_store.record_compile()
-                counters["compiles"] += 1
-            cells.append((key, kernel, program, busy_reference))
-        tally: Dict[str, int] = counters["backend_used"]
-        chunk = len(cells) if batch_cells <= 0 else int(batch_cells)
-        for lo in range(0, len(cells), max(chunk, 1)):
-            group = cells[lo:lo + chunk]
-            group_start = time.perf_counter()
             try:
-                results = replay_batch(
-                    [(kernel, program)
-                     for _, kernel, program, _ in group])
-            except Exception as err:
-                fail("replay", err, len(group))
+                program = compile_kernel(kernel)
+            except UnsupportedFeatureError:
+                counters["cells_skipped"] += 1
                 continue
-            per_cell = (time.perf_counter() - group_start) / len(group)
-            for (key, _kernel, _program, busy_reference), result \
-                    in zip(group, results):
-                queueing = result.queueing_cycles
-                run = EstimatorRun(
-                    estimator="mesh", queueing_cycles=queueing,
-                    percent_queueing=(100.0 * queueing / busy_reference
-                                      if busy_reference > 0 else 0.0),
-                    wall_seconds=per_cell, detail=result)
-                try:
-                    payload = _store_payload(key, run)
-                except Exception as err:
-                    fail("export", err)
-                    continue
-                store.put(key, "mesh", payload)
-                counters["cells_batched"] += 1
-                tally[result.backend_used] = \
-                    tally.get(result.backend_used, 0) + 1
+            except Exception as err:
+                fail("compile", err)
+                continue
+            counters["compiles"] += 1
+            try:
+                result = kernel._replay(program)
+            except Exception as err:
+                fail("replay", err)
+                continue
+            elapsed = time.perf_counter() - cell_start
+            profiles = self._characterize(spec.workload_hash(),
+                                          lambda: workload)
+            busy_reference = sum(p.busy_cycles for p in profiles.values())
+            queueing = result.queueing_cycles
+            run = EstimatorRun(
+                estimator="mesh", queueing_cycles=queueing,
+                percent_queueing=(100.0 * queueing / busy_reference
+                                  if busy_reference > 0 else 0.0),
+                wall_seconds=elapsed, detail=result)
+            try:
+                payload = _store_payload(key, run)
+            except Exception as err:
+                fail("export", err)
+                continue
+            store.put(key, "mesh", payload)
+            counters["cells_batched"] += 1
+            tally[result.backend_used] = \
+                tally.get(result.backend_used, 0) + 1
         counters["wall_seconds"] = time.perf_counter() - start
         with self._lock:
             totals = self.prepass_totals
@@ -775,7 +713,7 @@ class ExecutionSession:
         Each entry is one cell on the session's persistent warm pool
         (results in input order, per-cell error capture); ``kwargs``
         are forwarded to :meth:`comparison` verbatim.  Spec grids
-        flowing through the session's store first run the batched
+        flowing through the session's store first run the mesh
         :meth:`prepass` when ``batch_cells`` (or the session default)
         is non-zero, so the per-cell workers find mesh cells warm.
         Comparisons evaluated by worker processes are folded into the
@@ -800,7 +738,7 @@ class ExecutionSession:
         with self.grid():
             if (batch_cells and self.store is not None and all_specs
                     and "mesh" in kwargs.get("include", ESTIMATORS)):
-                self.prepass(items, batch_cells=max(batch_cells, 0))
+                self.prepass(items)
             if all_specs:
                 results = executor.map_specs(fn, items)
             else:

@@ -16,7 +16,7 @@ engine, which is what makes repeated figure and report invocations
 warm cache hits.
 
 The execution sequence itself — store probe, spec-level SoA fallback
-probe, compile-or-load, replay, store commit — lives in
+probe, compile, replay, store commit — lives in
 :class:`~repro.engine.session.ExecutionSession`; the functions here are
 the stable per-call front door over an ephemeral session.  Hold a
 session yourself (as the sweep supervisor and the service do) to keep
@@ -26,7 +26,7 @@ its stores and warm pool across calls.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..contention.base import ContentionModel
 from ..engine.session import (ESTIMATORS, Comparison,  # noqa: F401
@@ -38,7 +38,6 @@ __all__ = [
     "ESTIMATORS",
     "Comparison",
     "EstimatorRun",
-    "batched_mesh_prepass",
     "finite_mean",
     "percent_error",
     "run_comparison",
@@ -132,65 +131,9 @@ def run_comparison(workload,
                               memo_cache=memo_cache, engine=engine)
 
 
-def batched_mesh_prepass(specs: Sequence, store,
-                         program_store=None,
-                         batch_cells: int = 0) -> Dict[str, object]:
-    """Warm a run store's ``mesh`` artifacts for a grid in batched replays.
-
-    The grid-granularity execution tier (now implemented by
-    :meth:`~repro.engine.session.ExecutionSession.prepass`): cold cells
-    (no ``mesh`` artifact in ``store``) whose specs sit inside the SoA
-    compiled subset are grouped in deterministic ``spec_hash``-sorted
-    order, compiled **or** loaded from the content-addressed
-    :class:`~repro.core.programstore.ProgramStore` (one compilation per
-    spec across processes, resumes, and warm service runs), replayed
-    through :func:`~repro.core.programstore.replay_batch`, and each
-    committed into the run store under its own ``spec_hash`` with
-    exactly the payload :func:`run_comparison` would have written (only
-    ``wall_seconds``, an environment measurement, differs).  A
-    subsequent :func:`run_comparison` over the same specs then hits the
-    store for every warmed cell.
-
-    Purely an execution optimization: neither ``batch_cells`` nor any
-    store path enters ``spec_hash``, and replayed results are
-    bit-identical to per-cell runs.  Specs outside the compiled subset
-    (or that fail kernel-level compilation) are skipped and fall
-    through to the ordinary per-cell path untouched; a cell whose
-    kernel build or compile raises, or a replay group that raises, is
-    left to that path the same way, so the canonical per-cell
-    diagnostics surface it.
-
-    Parameters
-    ----------
-    specs:
-        Scenario specs (non-spec and non-``workload``-kind entries are
-        ignored); duplicates collapse by ``spec_hash``.
-    store:
-        The :class:`~repro.scenario.store.RunStore` (or root path) to
-        warm.  ``None`` disables the prepass.
-    program_store:
-        Optional :class:`~repro.core.programstore.ProgramStore` (or
-        root path); defaults to ``<store root>/programs`` in the run
-        store's code-version namespace.
-    batch_cells:
-        Maximum cells per replay batch; ``0`` means one batch for the
-        whole grid.
-
-    Returns a counter mapping: ``cells_total`` (unique eligible specs),
-    ``cells_cold``, ``cells_batched`` (warmed), ``cells_skipped``
-    (outside the compiled subset), ``cells_failed`` (whose build,
-    compile, or replay group raised), ``failures`` (reason -> count),
-    ``compiles``, ``program_loads``, ``backend_used`` (tally of the
-    replay loops that ran: ``interp``), and ``wall_seconds``.
-    """
-    session = ExecutionSession(store=store, program_store=program_store)
-    return session.prepass(specs, batch_cells=batch_cells)
-
-
 def run_comparisons_parallel(workloads: Sequence,
                              jobs: int = 0,
                              batch_cells: int = 0,
-                             program_store=None,
                              **kwargs) -> List[CellResult]:
     """Batch :func:`run_comparison` over independent scenarios.
 
@@ -204,12 +147,11 @@ def run_comparisons_parallel(workloads: Sequence,
     the worker processes; use the results' ``cached_runs`` instead).
 
     With ``batch_cells`` non-zero, a spec grid flowing through a store
-    first runs :func:`batched_mesh_prepass` — cold ``mesh`` cells
-    inside the SoA compiled subset are compiled-or-loaded from the
-    ``program_store`` and batch-replayed into the run store, so the
-    per-cell workers below find them warm.  ``batch_cells < 0`` means
-    "one batch for the whole grid"; positive values cap each batch.
-    Purely an execution knob: results are bit-identical either way.
+    first runs :meth:`~repro.engine.session.ExecutionSession.prepass`
+    — cold ``mesh`` cells inside the SoA compiled subset are compiled
+    and replayed in memory and committed to the run store, so the
+    per-cell workers below find them warm.  Purely an execution knob:
+    results are bit-identical either way.
 
     Returns one :class:`~repro.perf.parallel.CellResult` per scenario in
     input order: ``result.value`` is the :class:`Comparison`, and a
@@ -224,7 +166,6 @@ def run_comparisons_parallel(workloads: Sequence,
     """
     kwargs = dict(kwargs)
     with ExecutionSession(store=kwargs.pop("store", None),
-                          program_store=program_store,
                           engine=kwargs.pop("engine", None),
                           jobs=jobs) as session:
         return session.map_comparisons(workloads,

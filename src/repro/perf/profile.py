@@ -474,77 +474,6 @@ def sweep_fabric(quick: bool = False) -> Dict[str, Any]:
     }
 
 
-def sweep_throughput_batched(quick: bool = False) -> Dict[str, Any]:
-    """Batched grid replay vs warm per-cell SoA runs on the fig5 grid.
-
-    Both passes produce the same work product — one ``mesh`` artifact
-    per cell committed to a fresh run store.  The per-cell baseline is
-    the cold sweep path: :func:`~repro.experiments.runner.
-    run_comparison` per cell, each one building the workload and the
-    mesh kernel, compiling, replaying, and committing.  The batched
-    pass covers the same grid through :func:`~repro.experiments.runner.
-    batched_mesh_prepass` against a *warm* :class:`~repro.core.
-    programstore.ProgramStore` (programs cached by an earlier cold
-    prepass), so every cell loads its compiled program instead of
-    rebuilding it and replays in one batch.  The gated ratio is the
-    grid-level win of content-addressed program reuse plus batch
-    dispatch; the scenario also asserts the warm pass performs zero
-    compiles, which is the cache's whole contract.
-    """
-    import shutil
-    import tempfile
-
-    from ..core.programstore import ProgramStore
-    from ..experiments.runner import batched_mesh_prepass, run_comparison
-    from ..scenario.store import RunStore
-    from ..sweepfabric.grids import fig5_grid
-
-    specs = fig5_grid(quick=quick)
-    # Warm-up: pay one-time import/setup costs for both paths so
-    # neither timing below absorbs them.
-    specs[0].run(engine="soa")
-
-    root = tempfile.mkdtemp(prefix="repro-batched-replay-")
-    try:
-        percell_store = RunStore(f"{root}/percell")
-        start = time.perf_counter()
-        for spec in specs:
-            run_comparison(spec, include=("mesh",), engine="soa",
-                           store=percell_store)
-        percell_elapsed = time.perf_counter() - start
-
-        programs_root = f"{root}/programs"
-        cold_store = RunStore(f"{root}/cold")
-        cold = batched_mesh_prepass(
-            specs, cold_store,
-            program_store=ProgramStore(programs_root,
-                                       version=cold_store.version))
-        warm_store = RunStore(f"{root}/warm")
-        warm_programs = ProgramStore(programs_root,
-                                     version=warm_store.version)
-        start = time.perf_counter()
-        warm = batched_mesh_prepass(specs, warm_store,
-                                    program_store=warm_programs)
-        batched_elapsed = time.perf_counter() - start
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    if warm["compiles"]:
-        raise RuntimeError(
-            f"warm batched prepass recompiled {warm['compiles']} "
-            f"program(s); the program store must satisfy every cell")
-    return {
-        "cells": len(specs),
-        "cold_compiles": cold["compiles"],
-        "warm_compiles": warm["compiles"],
-        "warm_program_loads": warm["program_loads"],
-        "backend_used": dict(warm["backend_used"]),
-        "percell_cells_per_sec": round(len(specs) / percell_elapsed, 2),
-        "batched_cells_per_sec": round(len(specs) / batched_elapsed, 2),
-        "ratio_batched_over_percell":
-            round(percell_elapsed / batched_elapsed, 4),
-    }
-
-
 SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "commit_throughput": commit_throughput,
     "commit_throughput_soa": commit_throughput_soa,
@@ -554,7 +483,6 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "cycle_engine": cycle_engine,
     "sweep_cell": sweep_cell,
     "sweep_fabric": sweep_fabric,
-    "sweep_throughput_batched": sweep_throughput_batched,
 }
 
 #: Metrics the CI regression gate watches by default.  Only ratios are
@@ -566,7 +494,6 @@ GATE_METRICS: List[str] = [
     "commit_throughput_soa.ratio_soa_over_object",
     "slice_analysis_batch.ratio_batch_over_scalar",
     "calibration_grid.ratio_batch_over_scalar",
-    "sweep_throughput_batched.ratio_batched_over_percell",
 ]
 
 # Runner executed (with a foreign src on sys.path) for --compare-src.

@@ -323,12 +323,12 @@ class ScenarioSpec:
         above all — prefer passing overrides at run time
         (``spec.run(engine="soa")``, or ``engine=`` on
         :func:`~repro.experiments.runner.run_comparison`) so the
-        scenario's content address stays engine-agnostic.  The batched
-        replay knobs — ``batch_cells`` and program-store paths — are
-        likewise pure execution parameters of the runner/sweep layer
-        and never enter the spec or :meth:`spec_hash`; a batched grid
-        and a per-cell loop produce bit-identical artifacts under the
-        same content addresses.
+        scenario's content address stays engine-agnostic.  The mesh
+        prepass knob ``batch_cells`` is likewise a pure execution
+        parameter of the runner/sweep layer and never enters the spec
+        or :meth:`spec_hash`; a prepass grid and a per-cell loop
+        produce bit-identical artifacts under the same content
+        addresses.
     """
 
     generator: str

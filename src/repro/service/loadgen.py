@@ -14,8 +14,15 @@ The gated metrics are ratio-style (comparable across machines):
 * ``service_mixed.warm_hit_ratio`` — fraction of mixed-phase requests
   answered straight from the run store; a facade or probe bug that
   silently recomputes warm cells collapses it.
-* ``service_mixed.warm_speedup`` — cold p50 over warm p50; the whole
-  point of serving from a content-addressed store.
+* ``service_mixed.warm_efficiency`` — ``calibration_ms`` over the
+  sequential warm p50.  ``calibration_ms`` is the client's own median
+  time to round-trip a warm response through ``json.dumps`` and
+  ``json.loads``, taken right after each sequential warm request, so
+  the ratio cancels the host's speed (which drifts over seconds) and
+  needs no access to the server.  A slower warm path lowers it.
+
+``warm_speedup`` (cold p50 over warm p50) is recorded but not gated:
+it falls whenever cold requests get faster.
 
 Run standalone (spawns its own server on an ephemeral port)::
 
@@ -77,6 +84,20 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     rank = min(len(sorted_values) - 1,
                max(0, int(round(q * (len(sorted_values) - 1)))))
     return sorted_values[rank]
+
+
+#: Rounds of sequential warm probes over the warm specs.
+WARM_ROUNDS = 5
+
+
+def round_trip_ms(payload: Dict, repeats: int = 50) -> float:
+    """Mean milliseconds of one ``json.loads(json.dumps(payload))``
+    round trip over ``repeats``: the host-speed reference of
+    ``warm_efficiency``."""
+    start = time.perf_counter()
+    for _ in range(repeats):
+        json.loads(json.dumps(payload))
+    return 1e3 * (time.perf_counter() - start) / repeats
 
 
 def _post(host: str, port: int, body: Dict,
@@ -166,14 +187,18 @@ def run_bench(host: str, port: int, clients: int = 8,
     # Sequential warm probes: the apples-to-apples counterpart of the
     # sequential cold phase (the mixed-phase warm latencies include
     # client-concurrency queueing at the server, which is a different
-    # measurement).
+    # measurement).  Each is followed by a calibration on its response,
+    # so the two samples see the same host speed.
     warm_seq = LoadResult()
-    for body in warm_bodies:
-        start = time.perf_counter()
-        status, payload = _post(host, port, body)
-        warm_seq.samples.append(Sample(time.perf_counter() - start,
-                                       status,
-                                       payload.get("source", "error")))
+    calibrations = []
+    for _ in range(WARM_ROUNDS):
+        for body in warm_bodies:
+            start = time.perf_counter()
+            status, payload = _post(host, port, body)
+            warm_seq.samples.append(Sample(time.perf_counter() - start,
+                                           status,
+                                           payload.get("source", "error")))
+            calibrations.append(round_trip_ms(payload))
 
     warm_lat = mixed.latencies("store")
     all_lat = mixed.latencies()
@@ -183,6 +208,7 @@ def run_bench(host: str, port: int, clients: int = 8,
     warm_p50 = percentile(warm_lat, 0.50)
     warm_seq_p50 = percentile(warm_seq.latencies(), 0.50)
     cold_p50 = percentile(cold_lat, 0.50)
+    calibration_ms = percentile(sorted(calibrations), 0.50)
     return {
         "clients": clients,
         "requests_per_client": requests_per_client,
@@ -200,6 +226,9 @@ def run_bench(host: str, port: int, clients: int = 8,
         "warm_hit_ratio": warm_hits / total if total else 0.0,
         "warm_speedup": (cold_p50 / warm_seq_p50
                          if warm_seq_p50 > 0 else 0.0),
+        "calibration_ms": calibration_ms,
+        "warm_efficiency": (calibration_ms / (1e3 * warm_seq_p50)
+                            if warm_seq_p50 > 0 else 0.0),
         "throughput_rps": (total / mixed.wall_seconds
                            if mixed.wall_seconds > 0 else 0.0),
     }
@@ -208,7 +237,7 @@ def run_bench(host: str, port: int, clients: int = 8,
 #: Metric paths the committed baseline gates (ratio-style only:
 #: absolute latencies depend on the runner, ratios do not).
 GATE_METRICS = ["service_mixed.warm_hit_ratio",
-                "service_mixed.warm_speedup"]
+                "service_mixed.warm_efficiency"]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -258,7 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"wrote {path}")
     for key in ("latency_p50_ms", "latency_p99_ms", "warm_p50_ms",
                 "cold_p50_ms", "warm_hit_ratio", "warm_speedup",
-                "throughput_rps", "errors"):
+                "calibration_ms", "warm_efficiency", "throughput_rps",
+                "errors"):
         value = scenario[key]
         shown = f"{value:.3f}" if isinstance(value, float) else value
         print(f"  {key}: {shown}")

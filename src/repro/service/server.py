@@ -1,8 +1,8 @@
 """Contention-modeling-as-a-service: the asyncio HTTP/JSON front door.
 
 One long-running process owns one
-:class:`~repro.engine.session.ExecutionSession` (run store, program
-store, warm pool) and serves three endpoints over plain HTTP/1.1 —
+:class:`~repro.engine.session.ExecutionSession` (run store, warm pool)
+and serves three endpoints over plain HTTP/1.1 —
 stdlib ``asyncio`` framing, no new dependencies:
 
 ``POST /v1/analyze``
@@ -32,7 +32,7 @@ stdlib ``asyncio`` framing, no new dependencies:
       requests that differ only in model share one ISS run.
     * **session** — leaders enqueue their spec; a drain task collects
       everything pending and runs it as *one batch* through
-      :meth:`ExecutionSession.map_comparisons` (SoA prepass included)
+      :meth:`ExecutionSession.map_comparisons` (mesh prepass included)
       on the session's persistent warm pool, off the event loop.
     * **deadline** — the per-request deadline is a
       :class:`~repro.robustness.budget.RunBudget`
@@ -46,8 +46,8 @@ stdlib ``asyncio`` framing, no new dependencies:
 ``GET /v1/stats``
     Counters: service request/warm/cold/timeout tallies, coalescing
     leads/joins, quota admissions/rejections, and the full session
-    snapshot (store, program store, pool, ISS runs computed/reused,
-    prepass counters and failures).
+    snapshot (store, pool, ISS runs computed/reused, prepass counters
+    and failures).
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class ServiceConfig:
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
     engine: Optional[str] = None
-    #: Default batched-prepass chunking for drained batches
-    #: (``-1`` = one batch per drain, ``0`` disables the prepass).
+    #: Mesh prepass for drained batches (non-zero runs it before the
+    #: per-cell path, ``0`` disables it).
     batch_cells: int = -1
     #: Default per-request deadline (seconds) when the body names none.
     deadline_seconds: float = 30.0

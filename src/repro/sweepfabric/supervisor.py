@@ -125,8 +125,8 @@ class SweepResult:
     #: (:meth:`~repro.scenario.store.RunStore.counters`; never a
     #: walk of the store tree).
     store_stats: Dict[str, int]
-    #: Counters from the batched mesh prepass (see
-    #: :func:`~repro.experiments.runner.batched_mesh_prepass`), or
+    #: Counters from the mesh prepass (see
+    #: :meth:`~repro.engine.session.ExecutionSession.prepass`), or
     #: ``None`` when the prepass did not run.
     prepass: Optional[Dict[str, object]] = None
 
@@ -180,7 +180,6 @@ class SweepResult:
             lines.append(
                 f"  batched prepass: warmed {p['cells_batched']} "
                 f"cell(s), compiles={p['compiles']} "
-                f"program_loads={p['program_loads']} "
                 f"skipped={p['cells_skipped']} "
                 f"failed={p['cells_failed']}")
             for reason, count in sorted(p["failures"].items()):
@@ -301,15 +300,13 @@ class SweepSupervisor:
                  chaos: Optional[ChaosPlan] = None,
                  engine: Optional[str] = None,
                  batch_cells: int = 0,
-                 program_store=None,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store, the companion program store, and the engine
-        #: selection shared by the probe, the batched prepass,
-        #: and every dispatched cell (in-process cells evaluate through
-        #: it directly; worker processes through an ephemeral session).
+        #: run store and the engine selection shared by the probe, the
+        #: mesh prepass, and every dispatched cell (in-process cells
+        #: evaluate through it directly; worker processes through an
+        #: ephemeral session).
         self.session = ExecutionSession(store=store,
-                                        program_store=program_store,
                                         engine=engine, jobs=jobs,
                                         batch_cells=batch_cells)
         self.store = self.session.store
@@ -328,13 +325,12 @@ class SweepSupervisor:
         #: None).  Execution-only: never part of spec hashes, so cached
         #: payloads from either engine replay interchangeably.
         self.engine = engine
-        #: Batched mesh prepass knob: non-zero warms cold mesh cells
-        #: through the grid-granularity replay before probing (see
+        #: Mesh prepass knob: non-zero warms cold mesh cells through
+        #: the grid-granularity prepass before probing (see
         #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
         #: Execution-only — never part of spec hashes or the plan hash.
         self.batch_cells = batch_cells
-        self.program_store = program_store
-        #: Counters of the last batched prepass (``None`` until run).
+        #: Counters of the last mesh prepass (``None`` until run).
         self.prepass_counters: Optional[Dict[str, object]] = None
         self.sleep = sleep
         if manifest_path is None:
@@ -585,8 +581,7 @@ class SweepSupervisor:
             with self.session.grid():
                 if self.batch_cells and "mesh" in self.include:
                     self.prepass_counters = self.session.prepass(
-                        self.plan.specs,
-                        batch_cells=max(self.batch_cells, 0))
+                        self.plan.specs)
                 self._probe()
                 for shard in self.plan.shards:
                     self._run_shard(executor, shard)

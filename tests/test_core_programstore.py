@@ -1,26 +1,24 @@
-"""Program store + batched grid replay: caching, batching, fidelity.
+"""Compiled programs and the mesh prepass: fidelity, batching, storage.
 
 Three claims under test:
 
-* **Bit identity regardless of batching** — compiled programs replayed
-  through :func:`~repro.core.programstore.replay_batch` must produce
-  hex-identical results whatever the batch size or composition; a program loaded from the
-  :class:`~repro.core.programstore.ProgramStore` must be
-  indistinguishable from the one just compiled.  Verified over the
-  equivalence kernels (hypothesis-drawn compositions plus pinned batch
-  sizes 1 / 2 / 7 / full grid), the ``golden_soa.json`` sync configs,
-  and the full 80-configuration golden matrix (which, tracing, must
-  stay out of the program cache entirely — its object-engine equality
-  is pinned by ``test_core_soa``).
-* **RunStore discipline** — corrupt or stale-format bundles count as
-  misses (recompiling is always correct), code-version changes miss by
-  construction (``program_hash`` covers them), writes are atomic, and
-  orphaned ``*.tmp`` debris is swept on open.
-* **Compile-once economics** — a warm store satisfies a whole grid
-  with zero compiles, the batched prepass writes artifacts identical
-  to per-cell ``run_comparison`` (modulo ``wall_seconds``, a wall-clock
-  measurement), and neither ``batch_cells`` nor any store path ever
-  enters ``spec_hash``.
+* **Bit identity of compiled replays** — a program compiled from a
+  kernel and replayed through the kernel's own loop (``_replay``, the
+  call ``engine="soa"`` makes) must produce hex-identical results,
+  whatever the composition or order of the cells replayed one after
+  another.  Verified over the equivalence kernels, the
+  ``golden_soa.json`` sync configs, and the full 80-configuration
+  golden matrix (which, tracing, must stay out of the compiled subset
+  entirely — its object-engine equality is pinned by
+  ``test_core_soa``).
+* **The prepass writes only run-store artifacts** — the artifacts it
+  commits are exactly what per-cell ``run_comparison`` writes (modulo
+  ``wall_seconds``, a wall-clock measurement), land under the running
+  code version, leave no ``*.tmp`` debris (a crashed writer's is swept
+  when the store opens), and a warm run store leaves it nothing to
+  compile.
+* **Execution-only knobs** — ``batch_cells`` never changes an
+  artifact and never enters ``spec_hash``.
 """
 
 import json
@@ -39,15 +37,9 @@ from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_snapshot)
 from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
 from repro.core import compile_kernel
-from repro.core.compile import COMPILE_SUBSET_VERSION
 from repro.core.errors import UnsupportedFeatureError
-from repro.core.programstore import (FORMAT_VERSION, ProgramStore,
-                                     as_program_store, bind_program,
-                                     build_replay_kernel, program_hash,
-                                     replay_batch, replay_program)
-from repro.experiments.runner import (batched_mesh_prepass,
-                                      run_comparison,
-                                      run_comparisons_parallel)
+from repro.engine.session import ExecutionSession
+from repro.experiments.runner import run_comparison, run_comparisons_parallel
 from repro.perf.memo import SliceMemoCache
 from repro.scenario.store import RunStore, code_version
 from repro.sweepfabric.grids import fig5_grid
@@ -64,81 +56,58 @@ def _ref(name):
     return _REFS[name]
 
 
-def _cell(name):
-    """A fresh ``(kernel, program)`` replay cell for one kernel name."""
-    factory = EQUIVALENCE_KERNELS[name]
-    kernel = factory(engine="soa")
-    program = compile_kernel(factory())
-    bind_program(program, kernel)
-    return kernel, program
+def _replay(kernel):
+    """Compile a fresh kernel and replay it on its own array loop."""
+    return kernel._replay(compile_kernel(kernel))
+
+
+def _mesh_payloads(store, specs):
+    """Each spec's stored ``mesh`` payload, minus ``wall_seconds``."""
+    payloads = []
+    for spec in specs:
+        payload = store.get(spec.spec_hash(), "mesh")
+        assert payload is not None
+        payload.pop("wall_seconds")
+        payloads.append(payload)
+    return payloads
+
+
+def _percell_payloads(tmp_path, specs):
+    """The payloads per-cell ``engine="soa"`` comparisons commit."""
+    store = RunStore(tmp_path / "percell")
+    for spec in specs:
+        run_comparison(spec, include=("mesh",), engine="soa", store=store)
+    return _mesh_payloads(store, specs)
 
 
 # ---------------------------------------------------------------------
-# program_hash: every input moves the address
-# ---------------------------------------------------------------------
-
-
-def test_program_hash_covers_every_input():
-    base = program_hash("abc", subset_version=1, version="v1")
-    assert program_hash("abc", 1, "v1") == base
-    assert program_hash("abd", 1, "v1") != base
-    assert program_hash("abc", 2, "v1") != base
-    assert program_hash("abc", 1, "v2") != base
-
-
-def test_program_hash_defaults_to_runtime_versions(monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_VERSION", "deadbeefcafe")
-    assert program_hash("abc") == program_hash(
-        "abc", COMPILE_SUBSET_VERSION, "deadbeefcafe")
-    assert code_version() == "deadbeefcafe"
-
-
-# ---------------------------------------------------------------------
-# store roundtrip: a loaded program is the compiled program
+# compile -> replay: a replayed program is the object run
 # ---------------------------------------------------------------------
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
-def test_store_roundtrip_replays_bit_identically(name, tmp_path):
-    """Compile, serialize, load, replay: hex-identical to the object run.
+def test_store_roundtrip_replays_bit_identically(name):
+    """Compile, replay: hex-identical to the object run.
 
     Covers every equivalence kernel — sync primitives, bursts,
-    heterogeneous powers, pinned scheduling — so the flattening has no
-    blind spots.  Fresh :class:`Barrier` / :class:`Mutex` objects on
-    load are fine because replay write-backs are pure deltas.
+    heterogeneous powers, pinned scheduling — so the lowering has no
+    blind spots.
     """
-    factory = EQUIVALENCE_KERNELS[name]
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(name, version="t")
-    store.put(phash, compile_kernel(factory()), {"tag": name})
-    loaded = store.get(phash)
-    assert loaded is not None
-    program, aux = loaded
-    assert aux == {"tag": name}
-    kernel = factory(engine="soa")
-    bind_program(program, kernel)
-    assert result_snapshot(replay_program(kernel, program)) == _ref(name)
-    assert store.stats()["hits"] == 1
-    assert store.stats()["compiles"] == 0
+    kernel = EQUIVALENCE_KERNELS[name](engine="soa")
+    assert result_snapshot(_replay(kernel)) == _ref(name)
 
 
 @needs_numpy
 @pytest.mark.parametrize(
     "cfg", list(iter_soa_configs()),
     ids=[soa_config_key(*cfg) for cfg in iter_soa_configs()])
-def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
-    """Sync goldens survive the store and the batched replay path."""
+def test_golden_soa_configs_roundtrip_batched(cfg):
+    """Sync goldens survive the compile-and-replay path."""
     name, mts = cfg
     golden = json.loads(SOA_GOLDEN_PATH.read_text(
         encoding="utf-8"))[soa_config_key(name, mts)]
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(soa_config_key(name, mts), version="t")
-    store.put(phash, compile_kernel(soa_kernel(name, mts)))
-    program, _aux = store.get(phash)
-    kernel = soa_kernel(name, mts, engine="soa")
-    bind_program(program, kernel)
-    [result] = replay_batch([(kernel, program)])
+    result = _replay(soa_kernel(name, mts, engine="soa"))
     assert result.engine_used == "soa"
     assert soa_snapshot(result) == golden
 
@@ -147,11 +116,11 @@ def test_golden_soa_configs_roundtrip_batched(cfg, tmp_path):
     "cfg", list(iter_configs()),
     ids=[config_key(*cfg) for cfg in iter_configs()])
 def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
-    """Every golden config refuses compilation, so none can be cached.
+    """Every golden config refuses compilation, so the prepass skips it.
 
     The 80-configuration matrix traces, which the compiled subset
-    rejects — the batched path therefore reproduces these goldens by
-    *never taking them*: they fall through to the object engine, whose
+    rejects — the prepass therefore reproduces these goldens by *never
+    taking them*: they fall through to the object engine, whose
     snapshot equality ``test_core_soa`` pins.  A config slipping into
     the compiled subset here would silently change that contract.
     """
@@ -167,7 +136,7 @@ def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
 
 
 # ---------------------------------------------------------------------
-# batched grid replay: batch size and composition never matter
+# replays one after another: composition and order never matter
 # ---------------------------------------------------------------------
 
 
@@ -177,11 +146,12 @@ def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
                       max_size=7),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_batched_grid_replay_matches_per_cell(names, seed):
-    """Any composition, any order: a batch equals per-cell runs."""
+    """Any composition, any order: consecutive replays equal per-cell
+    object runs."""
     names = list(names)
     random.Random(seed).shuffle(names)
-    cells = [_cell(name) for name in names]
-    results = replay_batch(cells)
+    results = [_replay(EQUIVALENCE_KERNELS[name](engine="soa"))
+               for name in names]
     assert [result_snapshot(r) for r in results] == \
         [_ref(name) for name in names]
 
@@ -189,205 +159,168 @@ def test_batched_grid_replay_matches_per_cell(names, seed):
 @needs_numpy
 @pytest.mark.parametrize("batch", [1, 2, 7, None],
                          ids=["batch1", "batch2", "batch7", "fullgrid"])
-def test_batch_size_never_changes_results(batch):
-    """Chunked replays of one shuffled grid all agree with references."""
-    names = [name for name in ELIGIBLE for _ in range(2)]
-    random.Random(1234).shuffle(names)
-    size = len(names) if batch is None else batch
-    snaps = []
-    for start in range(0, len(names), size):
-        chunk = names[start:start + size]
-        snaps.extend(result_snapshot(r) for r in
-                     replay_batch([_cell(n) for n in chunk]))
-    assert snaps == [_ref(name) for name in names]
+def test_batch_size_never_changes_results(batch, tmp_path):
+    """A prepass over a shuffled grid writes per-cell artifacts,
+    whatever ``batch_cells`` it is given."""
+    specs = fig5_grid(quick=True) * 2
+    random.Random(1234).shuffle(specs)
+    store = RunStore(tmp_path / "prepass")
+    ExecutionSession(store=store).prepass(
+        specs, batch_cells=0 if batch is None else batch)
+    assert _mesh_payloads(store, specs) == \
+        _percell_payloads(tmp_path, specs)
 
 
 @needs_numpy
 def test_replay_batch_mixed_grid_reports_tiers_honestly():
     """Every cell replays on the interpreted loop; every result matches."""
-    names = sorted(EQUIVALENCE_KERNELS)
-    cells = [_cell(name) for name in names]
-    results = replay_batch(cells)
-    for name, (kernel, _program), result in zip(names, cells, results):
+    for name in sorted(EQUIVALENCE_KERNELS):
+        result = _replay(EQUIVALENCE_KERNELS[name](engine="soa"))
         assert result_snapshot(result) == _ref(name)
         assert result.engine_used == "soa"
         assert result.backend_used == "interp"
 
 
 # ---------------------------------------------------------------------
-# RunStore discipline: corruption, staleness, atomicity, hygiene
+# what the prepass leaves on disk: run-store artifacts, nothing else
 # ---------------------------------------------------------------------
 
 
 @needs_numpy
 def test_corrupt_bundle_counts_as_miss_and_heals(tmp_path):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    store.path_for(phash).write_bytes(b"torn write, not an npz")
-    assert store.get(phash) is None
+    """A torn ``mesh`` artifact is a counted miss; the cold path
+    recomputes it and writes the canonical payload back."""
+    [spec] = fig5_grid(quick=True)[:1]
+    store = RunStore(tmp_path / "store")
+    ExecutionSession(store=store).prepass([spec])
+    expected = _mesh_payloads(store, [spec])
+    store.path_for(spec.spec_hash(), "mesh").write_bytes(b"torn write")
+    with ExecutionSession(store=store, batch_cells=-1) as session:
+        [cell] = session.map_comparisons([spec], include=("mesh",))
+    assert cell.ok
+    assert cell.value.cached_runs == 0
     assert store.corrupt == 1
-    assert store.misses == 1
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    assert store.get(phash) is not None
-    assert store.hits == 1
-
-
-@needs_numpy
-def test_stale_bundle_format_counts_as_corrupt(tmp_path, monkeypatch):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    monkeypatch.setattr("repro.core.programstore.FORMAT_VERSION",
-                        FORMAT_VERSION + 1)
-    assert store.get(phash) is None
-    assert store.corrupt == 1
+    assert _mesh_payloads(store, [spec]) == expected
 
 
 @needs_numpy
 def test_stale_code_version_misses_by_construction(tmp_path):
-    """A code change moves both the namespace and the hash."""
-    spec_hash = "abc123"
-    old = ProgramStore(tmp_path, version="aaa")
-    old_hash = program_hash(spec_hash, version="aaa")
-    new_hash = program_hash(spec_hash, version="bbb")
-    assert old_hash != new_hash
-    old.put(old_hash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
-    new = ProgramStore(tmp_path, version="bbb")
-    assert new.get(new_hash) is None
-    assert new.misses == 1
-    assert old.get(old_hash) is not None
+    """A code change moves the run-store namespace: the prepass finds
+    every cell cold again and writes the same payloads."""
+    specs = fig5_grid(quick=True)
+    old = RunStore(tmp_path, version="aaa")
+    ExecutionSession(store=old).prepass(specs)
+    new = RunStore(tmp_path, version="bbb")
+    counters = ExecutionSession(store=new).prepass(specs)
+    assert counters["cells_cold"] == len(specs)
+    assert counters["compiles"] == len(specs)
+    assert _mesh_payloads(new, specs) == _mesh_payloads(old, specs)
 
 
 @needs_numpy
 def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash("cell", version="t")
-    store.put(phash, compile_kernel(EQUIVALENCE_KERNELS["fused"]()))
+    """One ``mesh`` artifact per cell, no ``*.tmp`` debris, and nothing
+    under the store root but the code-version namespace."""
+    specs = fig5_grid(quick=True)
+    store = RunStore(tmp_path / "store")
+    ExecutionSession(store=store).prepass(specs)
     assert store.orphan_tmp() == 0
-    assert store.count() == 1
-    assert phash in store
-    assert program_hash("other", version="t") not in store
+    assert store.count() == len(specs)
+    assert [p.name for p in store.root.iterdir()] == [store.version]
+    assert all((spec.spec_hash(), "mesh") in store for spec in specs)
 
 
+@needs_numpy
 def test_orphan_tmp_swept_on_open(tmp_path):
-    stale_dir = tmp_path / "t" / "ab"
+    """A crashed writer's stale ``*.tmp`` is swept when the session's
+    store opens; the prepass adds none of its own."""
+    spec = fig5_grid(quick=True)[0]
+    stale_dir = tmp_path / "store" / "v" / "ab"
     stale_dir.mkdir(parents=True)
     stale = stale_dir / "dead.tmp"
     stale.write_bytes(b"abandoned")
     old = time.time() - 3600
     os.utime(stale, (old, old))
-    fresh = stale_dir / "live.tmp"
-    fresh.write_bytes(b"in flight")
-    store = ProgramStore(tmp_path, version="t")
-    assert store.tmp_swept == 1
+    session = ExecutionSession(store=tmp_path / "store")
+    assert session.store.tmp_swept == 1
     assert not stale.exists()
-    assert fresh.exists()  # young enough to be a live writer
-    store.sweep_tmp(max_age=0.0)
-    assert not fresh.exists()
+    assert session.prepass([spec])["cells_batched"] == 1
+    assert session.store.orphan_tmp() == 0
 
 
-def test_as_program_store_coerces_paths(tmp_path):
-    assert as_program_store(None) is None
-    store = ProgramStore(tmp_path)
-    assert as_program_store(store) is store
-    coerced = as_program_store(tmp_path / "sub")
-    assert isinstance(coerced, ProgramStore)
+@needs_numpy
+def test_program_hash_defaults_to_runtime_versions(tmp_path, monkeypatch):
+    """Prepass artifacts live under the running code version."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "deadbeefcafe")
+    assert code_version() == "deadbeefcafe"
+    spec = fig5_grid(quick=True)[0]
+    store = RunStore(tmp_path / "store")
+    ExecutionSession(store=store).prepass([spec])
+    path = store.path_for(spec.spec_hash(), "mesh")
+    assert path.exists()
+    assert "deadbeefcafe" in path.relative_to(store.root).parts
 
 
 # ---------------------------------------------------------------------
-# batched prepass: compile once, replay everywhere, same artifacts
+# the prepass: per-cell artifacts, execution-only knobs
 # ---------------------------------------------------------------------
 
 
 @needs_numpy
 def test_warm_program_store_performs_zero_compiles(tmp_path):
-    """Second grid against a warm store: loads only, bit-equal output."""
+    """A second prepass over a warm run store compiles nothing and
+    leaves every artifact as it was."""
     specs = fig5_grid(quick=True)
-    programs_root = tmp_path / "programs"
-    cold_store = RunStore(tmp_path / "cold")
-    cold_programs = ProgramStore(programs_root,
-                                 version=cold_store.version)
-    cold = batched_mesh_prepass(specs, cold_store,
-                                program_store=cold_programs)
+    store = RunStore(tmp_path / "store")
+    cold = ExecutionSession(store=store).prepass(specs)
     assert cold["cells_cold"] == len(specs)
     assert cold["compiles"] == len(specs)
-    assert cold["program_loads"] == 0
-    warm_store = RunStore(tmp_path / "warm")
-    warm_programs = ProgramStore(programs_root,
-                                 version=warm_store.version)
-    warm = batched_mesh_prepass(specs, warm_store,
-                                program_store=warm_programs)
+    before = _mesh_payloads(store, specs)
+    warm = ExecutionSession(store=store).prepass(specs)
+    assert warm["cells_cold"] == 0
     assert warm["compiles"] == 0
-    assert warm["program_loads"] == len(specs)
-    assert warm_programs.compiles == 0
-    for spec in specs:
-        a = cold_store.get(spec.spec_hash(), "mesh")
-        b = warm_store.get(spec.spec_hash(), "mesh")
-        assert a is not None and b is not None
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
+    assert _mesh_payloads(store, specs) == before
 
 
 @needs_numpy
 def test_prepass_artifacts_match_per_cell_runs(tmp_path):
-    """The batched path writes what ``run_comparison`` would have.
+    """The prepass writes what ``run_comparison`` would have.
 
     Only ``wall_seconds`` — an environment measurement, not a result —
     may differ between the two execution strategies.
     """
     specs = fig5_grid(quick=True)
-    percell = RunStore(tmp_path / "percell")
-    for spec in specs:
-        run_comparison(spec, include=("mesh",), engine="soa",
-                       store=percell)
-    batched = RunStore(tmp_path / "batched")
-    batched_mesh_prepass(specs, batched,
-                         program_store=tmp_path / "programs")
-    for spec in specs:
-        a = percell.get(spec.spec_hash(), "mesh")
-        b = batched.get(spec.spec_hash(), "mesh")
-        assert a is not None and b is not None
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
+    prepass = RunStore(tmp_path / "prepass")
+    ExecutionSession(store=prepass).prepass(specs)
+    assert _mesh_payloads(prepass, specs) == \
+        _percell_payloads(tmp_path, specs)
 
 
 @needs_numpy
 def test_batch_cells_is_execution_only(tmp_path):
-    """Chunked and whole-grid prepasses write identical artifacts, and
-    a warm run store leaves nothing cold regardless of chunking."""
+    """Prepasses given different ``batch_cells`` write identical
+    artifacts, and a warm run store leaves nothing cold."""
     specs = fig5_grid(quick=True)
     chunked_store = RunStore(tmp_path / "chunked")
-    batched_mesh_prepass(specs, chunked_store,
-                         program_store=tmp_path / "p1", batch_cells=1)
+    ExecutionSession(store=chunked_store).prepass(specs, batch_cells=1)
     whole_store = RunStore(tmp_path / "whole")
-    batched_mesh_prepass(specs, whole_store,
-                         program_store=tmp_path / "p2", batch_cells=0)
-    for spec in specs:
-        a = chunked_store.get(spec.spec_hash(), "mesh")
-        b = whole_store.get(spec.spec_hash(), "mesh")
-        a.pop("wall_seconds")
-        b.pop("wall_seconds")
-        assert a == b
-    again = batched_mesh_prepass(specs, chunked_store,
-                                 program_store=tmp_path / "p1",
-                                 batch_cells=2)
+    ExecutionSession(store=whole_store).prepass(specs, batch_cells=0)
+    assert _mesh_payloads(chunked_store, specs) == \
+        _mesh_payloads(whole_store, specs)
+    again = ExecutionSession(store=chunked_store).prepass(specs,
+                                                          batch_cells=2)
     assert again["cells_cold"] == 0
     assert again["compiles"] == 0
 
 
 @needs_numpy
 def test_batch_knobs_never_enter_spec_hash(tmp_path):
-    """``batch_cells`` / store paths are invisible to content addresses."""
+    """``batch_cells`` is invisible to content addresses."""
     spec = fig5_grid(quick=True)[0]
     before = spec.spec_hash()
-    serialized = json.dumps(spec.to_dict())
-    assert "batch_cells" not in serialized
-    assert "program_store" not in serialized
-    batched_mesh_prepass([spec], RunStore(tmp_path / "s"),
-                         program_store=tmp_path / "p", batch_cells=1)
+    assert "batch_cells" not in json.dumps(spec.to_dict())
+    ExecutionSession(store=RunStore(tmp_path / "s")).prepass(
+        [spec], batch_cells=1)
     assert spec.spec_hash() == before
 
 
@@ -397,7 +330,7 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
     specs = fig5_grid(quick=True)
     comparisons = run_comparisons_parallel(
         specs, include=("mesh",), store=tmp_path / "store",
-        batch_cells=-1, program_store=tmp_path / "programs")
+        batch_cells=-1)
     assert len(comparisons) == len(specs)
     assert all(cell.value.cached_runs == 1 for cell in comparisons)
 
@@ -414,26 +347,11 @@ def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
 
     specs = fig5_grid(quick=True)
     result = run_sharded_sweep(specs, RunStore(tmp_path / "store"),
-                               shards=2, jobs=1, batch_cells=-1,
-                               program_store=tmp_path / "programs")
+                               shards=2, jobs=1, batch_cells=-1)
     text = result.summary()
     assert f"batched prepass: warmed {len(specs)} cell(s)" in text
-    assert f"compiles={len(specs)} program_loads=0 skipped=0" in text
+    assert f"compiles={len(specs)} skipped=0" in text
+    assert "program_loads" not in text
     assert "engine_used:" in text
     assert "backend_used:" in text
     assert f"cached={len(specs)}" in text
-
-
-@needs_numpy
-def test_build_replay_kernel_is_hollow_but_faithful(tmp_path):
-    """A replay kernel rebuilt from spec + program replays bit-equal to
-    a freshly built cell, without ever materializing the workload."""
-    spec = fig5_grid(quick=True)[0]
-    reference = result_snapshot(spec.run(engine="soa"))
-    program = compile_kernel(spec.build_kernel(engine="soa"))
-    store = ProgramStore(tmp_path, version="t")
-    phash = program_hash(spec.spec_hash(), version="t")
-    store.put(phash, program)
-    loaded, _aux = store.get(phash)
-    kernel = build_replay_kernel(spec, loaded)
-    assert result_snapshot(replay_program(kernel, loaded)) == reference

@@ -293,6 +293,25 @@ class TestCounters:
             assert session.estimator_runs_computed == 0
             assert session.estimator_runs_cached == 2
 
+    def test_prepass_times_the_compile(self, tmp_path, monkeypatch):
+        """A prepass payload's ``wall_seconds`` spans the kernel build,
+        the compile and the replay, as the per-cell mesh timing does."""
+        pytest.importorskip("numpy")
+        import repro.core.compile as compile_mod
+
+        compile_kernel = compile_mod.compile_kernel
+
+        def slow_compile(kernel):
+            time.sleep(0.05)
+            return compile_kernel(kernel)
+
+        monkeypatch.setattr(compile_mod, "compile_kernel", slow_compile)
+        spec = spec_for("uniform", 0, "chenlin", 0.0, None)
+        store = RunStore(tmp_path / "store")
+        counters = ExecutionSession(store=store).prepass([spec])
+        assert counters["cells_batched"] == 1
+        assert store.get(spec.spec_hash(), "mesh")["wall_seconds"] >= 0.05
+
     def test_multiprocess_map_absorbs_worker_counts(self, tmp_path):
         specs = [spec_for("uniform", seed, "chenlin", 0.0, None)
                  for seed in (0, 7)]

@@ -11,8 +11,8 @@ under :meth:`ScenarioSpec.workload_hash` while ``mesh`` and
 * payload identity — the ``iss`` artifact's bytes do not depend on
   which cell computed it first, and a two-worker sweep converges to
   the serial payloads;
-* no silent prepass failure — a failing replay group and a batch that
-  falls back to per-cell replay are both counted with a reason.
+* no silent prepass failure — a failing replay and a cell that
+  falls back to the per-cell path are both counted with a reason.
 """
 
 import dataclasses
@@ -280,20 +280,20 @@ class TestPrepassFailures:
     def test_one_failing_cell_is_counted_and_recomputed(
             self, tmp_path, monkeypatch):
         pytest.importorskip("numpy")
-        from repro.core import programstore
+        from repro.core.kernel import HybridKernel
 
         specs = _prepass_specs()
         poisoned = {}
-        replay_program = programstore.replay_program
+        replay = HybridKernel._replay
 
         def flaky_replay(kernel, program):
             if not poisoned:
                 poisoned["kernel"] = kernel
             if kernel is poisoned["kernel"]:
                 raise RuntimeError("injected replay failure")
-            return replay_program(kernel, program)
+            return replay(kernel, program)
 
-        monkeypatch.setattr(programstore, "replay_program", flaky_replay)
+        monkeypatch.setattr(HybridKernel, "_replay", flaky_replay)
         store = RunStore(tmp_path / "store")
         result = run_sharded_sweep(specs, store, shards=1, jobs=1,
                                    batch_cells=1, include=("mesh",))

@@ -406,8 +406,8 @@ class TestFraming:
 class TestPrepassIntegration:
     def test_batched_drain_warms_the_store_without_per_cell_runs(
             self, tmp_path):
-        """With the SoA prepass on, a drained cold batch is computed
-        by the batched replayer and the per-cell pass replays it."""
+        """With the mesh prepass on, a drained cold batch is computed
+        by the prepass and the per-cell pass replays it."""
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                batch_cells=-1,
                                quota_capacity=10_000,
@@ -425,3 +425,37 @@ class TestPrepassIntegration:
             assert session["estimator_runs_computed"] == 0
             assert session["estimator_runs_cached"] == 1
             assert payload["runs"]["mesh"]["cached"] is True
+
+    def test_cold_drain_leaves_only_run_store_artifacts(self, tmp_path):
+        """The prepass compiles in memory: a cold drain writes run-store
+        artifacts and no compiled-program files."""
+        root = tmp_path / "store"
+        config = ServiceConfig(port=0, store=str(root), batch_cells=-1,
+                               quota_capacity=10_000,
+                               quota_refill_per_second=10_000.0)
+        with ServiceHandle(config) as handle:
+            status, _payload, _ = analyze(
+                handle.port, {"spec": SPEC, "include": ["mesh"]})
+            assert status == 200
+            session = stats(handle.port)["session"]
+        assert session["prepass"]["cells_batched"] == 1
+        assert "program_store" not in session
+        assert not (root / "programs").exists()
+
+
+class TestLoadgen:
+    def test_bench_records_every_gated_metric(self, server):
+        """The load benchmark reports each metric CI gates, and the
+        warm-efficiency calibration comes from the warm responses."""
+        from repro.service import loadgen
+
+        scenario = loadgen.run_bench("127.0.0.1", server.port, clients=2,
+                                     requests_per_client=3,
+                                     warm_specs=2, fresh_specs=1)
+        for metric in loadgen.GATE_METRICS:
+            name = metric.split(".", 1)[1]
+            assert scenario[name] > 0
+        assert scenario["errors"] == 0
+        assert scenario["calibration_ms"] > 0
+        assert scenario["warm_efficiency"] == pytest.approx(
+            scenario["calibration_ms"] / scenario["warm_seq_p50_ms"])
