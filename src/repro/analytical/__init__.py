@@ -7,8 +7,7 @@ built around.
 """
 
 from .characterize import ThreadProfile, characterize
-from .whole_run import (WholeRunEstimate, estimate_queueing,
-                        estimate_queueing_batch)
+from .whole_run import WholeRunEstimate, estimate_queueing
 
 __all__ = ["ThreadProfile", "WholeRunEstimate", "characterize",
-           "estimate_queueing", "estimate_queueing_batch"]
+           "estimate_queueing"]

@@ -23,10 +23,9 @@ mispredicts in exactly the ways the paper's Figures 4-6 show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..contention.base import ContentionModel, SliceDemand
-from ..contention.batch import analyze_grouped
 from ..contention.chenlin import ChenLinModel
 from .characterize import ThreadProfile, characterize
 from ..workloads.trace import Workload
@@ -109,22 +108,33 @@ def _resource_demands(workload: Workload,
     return entries
 
 
-def _assemble_estimate(profiles: Mapping[str, ThreadProfile],
-                       entries,
-                       penalty_maps) -> WholeRunEstimate:
-    """Fold batched penalties back into the per-thread/-resource sums.
+def estimate_queueing(workload: Workload,
+                      model: Optional[ContentionModel] = None,
+                      models: Optional[Dict[str, ContentionModel]] = None,
+                      profiles: Optional[Mapping[str, ThreadProfile]]
+                      = None) -> WholeRunEstimate:
+    """Apply ``model`` once over the whole runtime of ``workload``.
 
-    Iterates resources and threads in the same order as the historical
-    per-resource loop, so every float accumulates identically.
+    ``models`` optionally overrides the model per resource, mirroring
+    :func:`repro.workloads.to_mesh.build_kernel`.  ``profiles`` lets a
+    caller that already characterized the workload (e.g. the comparison
+    runner, which needs the busy-cycle basis anyway) pass the result in
+    instead of paying for a second identical characterization.
+
+    Each accessed resource's model is called once, in resource order.
     """
+    default_model = model if model is not None else ChenLinModel()
+    overrides = models or {}
+    if profiles is None:
+        profiles = characterize(workload)
     per_thread: Dict[str, float] = {name: 0.0 for name in profiles}
     per_resource: Dict[str, float] = {}
-    result_iter = iter(penalty_maps)
-    for spec, slice_demand, _ in entries:
+    for spec, slice_demand, resource_model in _resource_demands(
+            workload, profiles, default_model, overrides):
         if slice_demand is None:
             per_resource[spec.name] = 0.0
             continue
-        penalties = next(result_iter)
+        penalties = resource_model.penalties(slice_demand)
         demands = slice_demand.demands
         total = 0.0
         for name, profile in profiles.items():
@@ -140,79 +150,3 @@ def _assemble_estimate(profiles: Mapping[str, ThreadProfile],
     return WholeRunEstimate(per_thread=per_thread,
                             per_resource=per_resource,
                             profiles=profiles)
-
-
-def estimate_queueing(workload: Workload,
-                      model: Optional[ContentionModel] = None,
-                      models: Optional[Dict[str, ContentionModel]] = None,
-                      profiles: Optional[Mapping[str, ThreadProfile]]
-                      = None) -> WholeRunEstimate:
-    """Apply ``model`` once over the whole runtime of ``workload``.
-
-    ``models`` optionally overrides the model per resource, mirroring
-    :func:`repro.workloads.to_mesh.build_kernel`.  ``profiles`` lets a
-    caller that already characterized the workload (e.g. the comparison
-    runner, which needs the busy-cycle basis anyway) pass the result in
-    instead of paying for a second identical characterization.
-
-    All resources sharing one model instance are evaluated in a single
-    ``analyze_batch`` call (bit-identical to per-resource evaluation;
-    see :mod:`repro.contention.batch`).
-    """
-    default_model = model if model is not None else ChenLinModel()
-    overrides = models or {}
-    if profiles is None:
-        profiles = characterize(workload)
-    entries = _resource_demands(workload, profiles, default_model,
-                                overrides)
-    penalty_maps = analyze_grouped(
-        [(resource_model, slice_demand)
-         for _, slice_demand, resource_model in entries
-         if slice_demand is not None])
-    return _assemble_estimate(profiles, entries, penalty_maps)
-
-
-def estimate_queueing_batch(
-        workloads: Sequence[Workload],
-        model: Optional[ContentionModel] = None,
-        models: Optional[Dict[str, ContentionModel]] = None,
-        profiles_list: Optional[Sequence[Mapping[str, ThreadProfile]]]
-        = None) -> List[WholeRunEstimate]:
-    """Whole-run estimates for many design points in one batched pass.
-
-    The grid-evaluation twin of :func:`estimate_queueing`: every
-    resource demand of every workload is gathered first, then each
-    model instance evaluates *all* of its demands — across the whole
-    grid — in one ``analyze_batch`` call.  Results are identical to
-    calling :func:`estimate_queueing` per workload; the win is
-    amortizing Python/NumPy dispatch over the design space (the
-    design-exploration loop the paper motivates).
-    """
-    default_model = model if model is not None else ChenLinModel()
-    overrides = models or {}
-    if profiles_list is None:
-        profiles_list = [characterize(workload) for workload in workloads]
-    elif len(profiles_list) != len(workloads):
-        raise ValueError(
-            f"profiles_list has {len(profiles_list)} entries for "
-            f"{len(workloads)} workloads")
-    all_entries = [
-        _resource_demands(workload, profiles, default_model, overrides)
-        for workload, profiles in zip(workloads, profiles_list)
-    ]
-    pairs: List[Tuple[ContentionModel, SliceDemand]] = [
-        (resource_model, slice_demand)
-        for entries in all_entries
-        for _, slice_demand, resource_model in entries
-        if slice_demand is not None
-    ]
-    penalty_maps = analyze_grouped(pairs)
-    estimates: List[WholeRunEstimate] = []
-    offset = 0
-    for profiles, entries in zip(profiles_list, all_entries):
-        live = sum(1 for _, slice_demand, _ in entries
-                   if slice_demand is not None)
-        estimates.append(_assemble_estimate(
-            profiles, entries, penalty_maps[offset:offset + live]))
-        offset += live
-    return estimates

@@ -592,7 +592,7 @@ def _run_sweep(args) -> str:
 def _run_pareto(args) -> str:
     import functools
 
-    from .analytical import estimate_queueing_batch
+    from .analytical import estimate_queueing
     from .experiments.pareto import evaluate_designs, knee_point, \
         pareto_front
     from .experiments.report import format_table
@@ -600,19 +600,15 @@ def _run_pareto(args) -> str:
     designs = [(procs, bus)
                for procs in args.procs for bus in args.bus_delays]
     # Workload construction + characterization parallelize per design;
-    # the analytical model then evaluates the *whole grid* in one
-    # batched pass in this process.
+    # the analytical model then evaluates each design in this process.
     cells = evaluate_designs(designs,
                              functools.partial(_pareto_cell, args.points),
                              jobs=getattr(args, "jobs", 1))
-    workloads = [workload for workload, _ in cells]
-    profiles_list = [profiles for _, profiles in cells]
-    estimates = estimate_queueing_batch(workloads,
-                                        model=make_model(args.model),
-                                        profiles_list=profiles_list)
+    model = make_model(args.model)
     rows_data = []
-    for (procs, bus), profiles, estimate in zip(designs, profiles_list,
-                                                estimates):
+    for (procs, bus), (workload, profiles) in zip(designs, cells):
+        estimate = estimate_queueing(workload, model=model,
+                                     profiles=profiles)
         makespan = max(
             profile.busy_cycles + estimate.per_thread.get(name, 0.0)
             for name, profile in profiles.items())

@@ -9,7 +9,6 @@ paper.
 """
 
 from .base import ContentionModel, SliceDemand
-from .batch import SliceDemandBatch, analyze_grouped, numpy_available
 from .chenlin import ChenLinModel
 from .constant import ConstantModel, NullModel
 from .md1 import MD1Model
@@ -22,7 +21,6 @@ from .roundrobin import RoundRobinModel
 __all__ = [
     "ChenLinModel", "ConstantModel", "ContentionModel", "MD1Model",
     "MM1Model", "MMcModel", "NullModel", "PriorityModel",
-    "RoundRobinModel", "SliceDemand", "SliceDemandBatch",
-    "analyze_grouped", "available_models", "erlang_c", "make_model",
-    "numpy_available", "register_model",
+    "RoundRobinModel", "SliceDemand", "available_models", "erlang_c",
+    "make_model", "register_model",
 ]

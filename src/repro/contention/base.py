@@ -121,23 +121,6 @@ class ContentionModel(abc.ABC):
         Penalties must be non-negative and finite.
         """
 
-    def analyze_batch(self, batch) -> "list[Dict[str, float]]":
-        """Evaluate :meth:`penalties` for every demand in ``batch``.
-
-        ``batch`` is a :class:`repro.contention.batch.SliceDemandBatch`
-        (or any iterable of :class:`SliceDemand`); the result is one
-        penalties dict per demand, in batch order, **bit-identical** to
-        calling :meth:`penalties` element by element.  The default
-        implementation dispatches through
-        :mod:`repro.contention.batch`, which uses a NumPy-vectorized
-        kernel when one is registered for this model's exact class and
-        falls back to the scalar loop otherwise — subclasses override
-        only to change delegation semantics (e.g. fallback chains), not
-        the math.
-        """
-        from .batch import dispatch_batch
-        return dispatch_batch(self, batch)
-
     def expected_wait(self, demand: SliceDemand, thread: str) -> float:
         """Mean per-access waiting time for ``thread`` in the window.
 

@@ -23,7 +23,6 @@ from typing import List, Sequence
 from ..cycle import EventEngine
 from ..workloads.synthetic import uniform_workload
 from .base import ContentionModel, SliceDemand
-from .batch import SliceDemandBatch
 
 DEFAULT_ACCESS_SWEEP = (10, 30, 60, 100, 160, 240, 320, 420)
 
@@ -115,10 +114,9 @@ def calibrate_model(model: ContentionModel,
     The cycle-engine measurements are independent cell-by-cell;
     ``jobs > 1`` spreads them over a process pool (``0`` = one worker
     per CPU).  The model itself is evaluated in the *caller's* process,
-    over the whole sweep in one ``analyze_batch`` call — so stateful
-    wrappers (e.g. a ``GuardedModel`` health report) see every
-    evaluation regardless of ``jobs``, and the closed-form models take
-    their vectorized fast path across the grid.
+    one ``penalties()`` call per sweep point — so stateful wrappers
+    (e.g. a ``GuardedModel`` health report) see every evaluation
+    regardless of ``jobs``.
 
     With a ``store`` (a :class:`~repro.scenario.store.RunStore` or root
     path) and non-zero ``batch_cells``, the matching
@@ -157,7 +155,7 @@ def calibrate_model(model: ContentionModel,
         )
         for accesses in sweep
     ]
-    penalty_maps = model.analyze_batch(SliceDemandBatch(demands))
+    penalty_maps = [model.penalties(demand) for demand in demands]
     points: List[CalibrationPoint] = []
     for accesses, measured, demand, penalties in zip(
             sweep, measured_waits, demands, penalty_maps):

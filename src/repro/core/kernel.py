@@ -14,7 +14,12 @@ The kernel interleaves three activities:
 3. **Post-access arbitration** — the shared-resource scheduler (US)
    gathers every shared access that fell inside the just-closed timeslice,
    evaluates each shared resource's analytical model, and assigns queueing
-   penalties: the committed region's own penalty is applied immediately
+   penalties.  Demand is gathered incrementally: each region registers
+   with the US scheduler when it starts, and every commit advances the
+   collection horizon over only the still-open registrations.  Each
+   demanding resource's model is then called once, in resource order
+   (:meth:`~repro.core.us.SharedResourceScheduler.analyze`).  The
+   committed region's own penalty is applied immediately
    (keeping its processor busy); other in-flight regions accumulate theirs
    for lazy application; threads with no in-flight region carry the
    penalty into their next region.
@@ -85,20 +90,6 @@ class HybridKernel:
         eviction counters surface on the
         :class:`~repro.core.stats.SimulationResult`.  Sharing one cache
         across kernels amortizes warm-up over a sweep.
-    slice_accounting:
-        How window demand is gathered per commit.  ``"incremental"``
-        (default) registers each region with the US scheduler when it
-        starts and advances the collection horizon over only the still-
-        open registrations — amortized O(changed) per commit.
-        ``"rescan"`` is the legacy reference path that re-walks every
-        in-flight region each commit; both produce bit-identical
-        results (enforced by the golden equivalence suite).
-    batch_analysis:
-        Whether the US scheduler groups same-model resources of one
-        analyzed timeslice into a single vectorized ``analyze_batch``
-        call (default; bit-identical to the per-resource loop — see
-        :mod:`repro.contention.batch`).  ``False`` forces the legacy
-        one-call-per-resource path.
     engine:
         Which execution engine :meth:`run` uses.  ``"object"``
         (default) is the reference loop below; ``"soa"`` compiles the
@@ -117,7 +108,6 @@ class HybridKernel:
     """
 
     SYNC_POLICIES = ("eager", "deferred")
-    SLICE_ACCOUNTING = ("incremental", "rescan")
     ENGINES = ("object", "soa")
 
     def __init__(self, processors: Sequence[Processor],
@@ -129,8 +119,6 @@ class HybridKernel:
                  fault_plan=None,
                  budget=None,
                  memo_cache=None,
-                 slice_accounting: str = "incremental",
-                 batch_analysis: bool = True,
                  engine: str = "object"):
         if sync_policy not in self.SYNC_POLICIES:
             raise ConfigurationError(
@@ -141,13 +129,6 @@ class HybridKernel:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose from {self.ENGINES}"
             )
-        if slice_accounting not in self.SLICE_ACCOUNTING:
-            raise ConfigurationError(
-                f"unknown slice_accounting {slice_accounting!r}; choose "
-                f"from {self.SLICE_ACCOUNTING}"
-            )
-        self.slice_accounting = slice_accounting
-        self._incremental = slice_accounting == "incremental"
         self.sync_policy = sync_policy
         self.engine = engine
         #: Engine that actually executed the run; stays ``"object"``
@@ -172,8 +153,7 @@ class HybridKernel:
         self.us = SharedResourceScheduler(self.shared_resources,
                                           min_timeslice=min_timeslice,
                                           fault_plan=fault_plan,
-                                          memo=memo_cache,
-                                          batch_analysis=batch_analysis)
+                                          memo=memo_cache)
         self.fault_plan = fault_plan
         if fault_plan is not None:
             unknown = [name for name in fault_plan.resource_names()
@@ -477,8 +457,7 @@ class HybridKernel:
         processor._current_region = region
         self._inflight[thread.name] = region
         self._queue.push(region)
-        if self._incremental:
-            self.us.register(region)
+        self.us.register(region)
         if self.trace is not None:
             self.trace.record("start", self.now, thread.name,
                               processor.name,
@@ -514,12 +493,7 @@ class HybridKernel:
             self.now = t_i
         # Post-access arbitration over the just-closed slice (lines 15-16).
         us = self.us
-        if self._incremental:
-            us.advance(self.now, self._queue, region)
-        else:
-            live = self._queue.regions()
-            live.append(region)
-            us.collect(self.now, live)
+        us.advance(self.now, self._queue, region)
         penalties = us.analyze(self._priorities)
         if penalties:
             if self.trace is not None:
@@ -723,10 +697,7 @@ class HybridKernel:
 
     def _flush_final_slice(self) -> None:
         """Analyze whatever demand the min-timeslice knob still holds."""
-        if self._incremental:
-            self.us.advance(self.now, self._queue)
-        else:
-            self.us.collect(self.now, self._queue.regions())
+        self.us.advance(self.now, self._queue)
         penalties = self.us.analyze(self._priorities, force=True)
         for thread_name, penalty in penalties.items():
             # Simulation is over: count the queueing estimate but do not

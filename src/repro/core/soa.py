@@ -236,12 +236,9 @@ def run_program(kernel, program) -> SimulationResult:
     def analyze_window(start_w, end_w):
         """Evaluate every demanding resource's model over the window.
 
-        The per-resource pipeline of ``SharedResourceScheduler.analyze``
-        (legacy path) fused with ``_build_slice`` + ``_finish_resource``,
-        healthy branch only — fault plans and memo caches never compile.
-        Batch grouping is deliberately absent: the batch layer is
-        bit-identical to per-resource calls by contract, so the cheaper
-        path is always safe here.
+        The per-resource loop of ``SharedResourceScheduler.analyze``
+        fused with ``_build_slice`` + ``_finish_resource``, healthy
+        branch only — fault plans and memo caches never compile.
         """
         nonlocal window_start, slices_analyzed
         totals = {}

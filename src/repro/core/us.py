@@ -7,6 +7,10 @@ uncontended, then — each time the kernel commits a region end and closes a
 timeslice — the US scheduler gathers every access that fell inside the
 slice, hands the per-thread demand of each shared resource to that
 resource's analytical model, and returns the resulting time penalties.
+:meth:`SharedResourceScheduler.analyze` is one loop: for each resource
+with demand in the window, in resource order, it builds the
+:class:`~repro.contention.base.SliceDemand`, consults the optional memo
+cache, calls the model's ``penalties()`` once, and folds the result in.
 
 Accounting is **incremental**: the kernel registers each region's access
 contribution once, when the region starts (:meth:`SharedResourceScheduler.
@@ -15,9 +19,10 @@ register`), and every commit advances the collection horizon
 regions whose base span still overlaps the open window.  A region whose
 base span has been fully consumed is retired from the active set and
 never rescanned — a heavily penalized region that lingers in the commit
-queue costs nothing here.  The legacy full-rescan entry point
-(:meth:`SharedResourceScheduler.collect`) is retained as the reference
-implementation; the equivalence suite proves both paths bit-identical.
+queue costs nothing here.  The full-rescan entry point
+(:meth:`SharedResourceScheduler.collect`) states the proportional-overlap
+rule plainly and is retained as the reference implementation; the
+equivalence suite proves it bit-identical to :meth:`advance`.
 
 The scheduler also implements the paper's *minimum timeslice* optimization
 (section 4.3): slices narrower than ``min_timeslice`` are not analyzed
@@ -31,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional
 
 from ..contention.base import SliceDemand
-from ..contention.batch import MIN_VECTOR_BATCH, SliceDemandBatch
 from .region import AnnotationRegion
 from .shared import SharedResource
 
@@ -61,9 +65,8 @@ class SharedResourceScheduler:
     def __init__(self, resources: Iterable[SharedResource],
                  min_timeslice: float = 0.0,
                  fault_plan=None,
-                 memo=None,
-                 batch_analysis: bool = True):
-        if min_timeslice < 0:
+                 memo=None):
+        if not min_timeslice >= 0:  # also rejects NaN
             raise ValueError(
                 f"min_timeslice must be >= 0, got {min_timeslice!r}"
             )
@@ -78,11 +81,6 @@ class SharedResourceScheduler:
         #: before each model call; models that are not ``memo_safe``
         #: (or carry un-keyable state) always see real calls.
         self.memo = memo
-        #: Whether :meth:`analyze` groups same-model resources of one
-        #: timeslice into a single ``analyze_batch`` call (bit-identical
-        #: results; see :mod:`repro.contention.batch`).  ``False`` runs
-        #: the legacy one-model-call-per-resource loop.
-        self.batch_analysis = bool(batch_analysis)
         self.min_timeslice = float(min_timeslice)
         #: Left edge of the (possibly accumulated) analysis window.
         self.window_start = 0.0
@@ -112,7 +110,7 @@ class SharedResourceScheduler:
     def register(self, region: AnnotationRegion) -> None:
         """Register a just-started region for incremental collection.
 
-        Called once per region by the kernel (incremental mode only).
+        Called once per region by the kernel when the region starts.
         Regions without accesses never contribute demand: they are
         retired immediately so every later :meth:`advance` skips them
         with a single attribute check.
@@ -128,12 +126,12 @@ class SharedResourceScheduler:
 
         The incremental counterpart of :meth:`collect`.  ``queue`` is
         the kernel's :class:`~repro.core.pqueue.RegionQueue`; its heap
-        array is walked in place — the exact order the legacy rescan
-        saw, which keeps every order-dependent float accumulation
-        downstream bit-identical — but without snapshotting a region
-        list, and with regions whose base span is already fully
-        collected (``us_done``) dismissed by one flag test instead of
-        re-deriving an empty overlap every commit.  ``tail`` is the
+        array is walked in place — the exact order a :meth:`collect`
+        rescan of the queue sees, which keeps every order-dependent
+        float accumulation downstream bit-identical — but without
+        snapshotting a region list, and with regions whose base span is
+        already fully collected (``us_done``) dismissed by one flag
+        test instead of re-deriving an empty overlap every commit.  ``tail`` is the
         region just popped for commit (no longer in the queue),
         processed last to mirror the rescan's ``live.append(region)``.
         """
@@ -278,9 +276,9 @@ class SharedResourceScheduler:
         Each region's accesses are divided proportionally by overlap, the
         paper's rule for regions broken across timeslices.
 
-        This is the legacy full-rescan path, kept as the reference
-        implementation for :meth:`advance` (the kernel's
-        ``slice_accounting="rescan"`` mode and direct callers).
+        This is the full-rescan path, kept as the reference
+        implementation for :meth:`advance` (the equivalence suite's
+        rescan kernel and direct callers use it).
         """
         start = self.collected_upto
         if upto < start - _EPS:
@@ -379,63 +377,7 @@ class SharedResourceScheduler:
         totals: Dict[str, float] = {}
         units_map = self._window_units
         memo = self.memo
-        if self.batch_analysis:
-            self._analyze_batched(priorities, start, end, totals)
-        else:
-            # Legacy path: one model call per resource, in order.
-            for name, resource in self._resource_items:
-                demands = demand_map[name]
-                if not demands:
-                    continue
-                slice_demand, effect = self._build_slice(
-                    name, resource, demands, priorities, start, end)
-                penalties = None
-                memo_key = None
-                if memo is not None:
-                    memo_key = memo.fingerprint(resource.model,
-                                                slice_demand)
-                    if memo_key is not None:
-                        penalties = memo.get(memo_key)
-                if penalties is None:
-                    penalties = resource.model.penalties(slice_demand)
-                    if memo_key is not None:
-                        memo.put(memo_key, penalties)
-                self._finish_resource(totals, resource, demands, effect,
-                                      penalties)
-                # The window dicts were handed to the SliceDemand (no
-                # copy); start the next window with fresh ones instead
-                # of clearing.
-                demand_map[name] = {}
-                units_map[name] = None
-        self.window_start = end
-        self.slices_analyzed += 1
-        return totals
-
-    def _analyze_batched(self, priorities: Mapping[str, int],
-                         start: float, end: float,
-                         totals: Dict[str, float]) -> None:
-        """Analyze the window with same-model resources batched.
-
-        Three phases, all confined to this one timeslice (cross-slice
-        batching would break the hybrid feedback loop — a slice's
-        penalties reshape the regions the *next* slice collects):
-
-        1. build each demanding resource's :class:`SliceDemand` and
-           consult the memo cache (duplicate fingerprints within the
-           slice are *deferred* rather than looked up, so the scalar
-           path's miss-then-hit counter sequence is reproduced);
-        2. group resources still needing a live evaluation by model
-           instance and evaluate each group in one ``analyze_batch``
-           call — bit-identical to per-resource calls by the batch
-           layer's exactness contract;
-        3. replay the scalar per-resource pipeline in resource order:
-           memo stores, fault folding, validation, statistics, totals.
-        """
-        demand_map = self._window_demand
-        units_map = self._window_units
-        memo = self.memo
-        pending = []
-        seen_keys = set()
+        # One model call per demanding resource, in resource order.
         for name, resource in self._resource_items:
             demands = demand_map[name]
             if not demands:
@@ -444,67 +386,23 @@ class SharedResourceScheduler:
                 name, resource, demands, priorities, start, end)
             penalties = None
             memo_key = None
-            deferred = False
             if memo is not None:
                 memo_key = memo.fingerprint(resource.model, slice_demand)
                 if memo_key is not None:
-                    if memo_key in seen_keys:
-                        # An identical evaluation is already pending in
-                        # this slice: resolve in phase 3, after the twin
-                        # has stored its result, exactly as the scalar
-                        # path's later lookup would hit the earlier put.
-                        deferred = True
-                    else:
-                        penalties = memo.get(memo_key)
-                        if penalties is None:
-                            seen_keys.add(memo_key)
-            pending.append([name, resource, demands, slice_demand,
-                            effect, memo_key, penalties, deferred])
-        # Phase 2: one batch call per model instance.  Groups smaller
-        # than MIN_VECTOR_BATCH stay on phase 3's direct scalar call
-        # (a batch of one only adds dispatch overhead).
-        groups: Dict[int, list] = {}
-        order = []
-        for entry in pending:
-            if entry[6] is None and not entry[7]:
-                key = id(entry[1].model)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [entry]
-                    order.append(key)
-                else:
-                    bucket.append(entry)
-        for key in order:
-            entries = groups[key]
-            if len(entries) < MIN_VECTOR_BATCH:
-                continue
-            results = entries[0][1].model.analyze_batch(
-                SliceDemandBatch(entry[3] for entry in entries))
-            for entry, result in zip(entries, results):
-                entry[6] = result
-                entry.append(True)  # computed live: store in the memo
-        # Phase 3: per-resource bookkeeping, in resource order.
-        for entry in pending:
-            (name, resource, demands, slice_demand, effect, memo_key,
-             penalties, deferred) = entry[:8]
-            store = len(entry) > 8  # batch-computed in phase 2
-            if deferred:
-                penalties = memo.get(memo_key)
-                if penalties is None:
-                    # The twin's entry was evicted between its put and
-                    # now (tiny cache); recompute, as the scalar path's
-                    # missed lookup would.
-                    penalties = resource.model.penalties(slice_demand)
-                    store = True
-            elif penalties is None:
+                    penalties = memo.get(memo_key)
+            if penalties is None:
                 penalties = resource.model.penalties(slice_demand)
-                store = True
-            if store and memo_key is not None:
-                memo.put(memo_key, penalties)
+                if memo_key is not None:
+                    memo.put(memo_key, penalties)
             self._finish_resource(totals, resource, demands, effect,
                                   penalties)
+            # The window dicts were handed to the SliceDemand (no copy);
+            # start the next window with fresh ones instead of clearing.
             demand_map[name] = {}
             units_map[name] = None
+        self.window_start = end
+        self.slices_analyzed += 1
+        return totals
 
     def _build_slice(self, name: str, resource: SharedResource,
                      demands: Dict[str, float],

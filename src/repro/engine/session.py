@@ -592,7 +592,9 @@ class ExecutionSession:
     # -- the grid-granularity sequence --------------------------------
 
     def prepass(self, specs: Sequence,
-                batch_cells: Optional[int] = None) -> Dict[str, object]:
+                batch_cells: Optional[int] = None,
+                warmed: Optional[Dict[str, EstimatorRun]] = None
+                ) -> Dict[str, object]:
         """Warm the run store's ``mesh`` artifacts for a grid.
 
         Cold cells (no ``mesh`` artifact in the store) whose specs sit
@@ -614,6 +616,10 @@ class ExecutionSession:
         and counted in ``cells_failed``, with its reason (``build:
         TypeError``, ``replay: ...``, ``export: ...``) tallied under
         ``failures``.
+
+        ``warmed``, when given, receives every run this call computes
+        and stores, under its ``mesh`` artifact key, so the caller can
+        report those runs as computed rather than as store hits.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -688,6 +694,8 @@ class ExecutionSession:
                 fail("export", err)
                 continue
             store.put(key, "mesh", payload)
+            if warmed is not None:
+                warmed[key] = run
             counters["cells_batched"] += 1
             tally[result.backend_used] = \
                 tally.get(result.backend_used, 0) + 1
@@ -715,7 +723,10 @@ class ExecutionSession:
         are forwarded to :meth:`comparison` verbatim.  Spec grids
         flowing through the session's store first run the mesh
         :meth:`prepass` when ``batch_cells`` (or the session default)
-        is non-zero, so the per-cell workers find mesh cells warm.
+        is non-zero, so the per-cell workers find mesh cells warm.  A
+        ``mesh`` run the prepass computed in this call is reported as
+        computed (``cached=False``, counted in
+        ``estimator_runs_computed``), exactly as without the prepass.
         Comparisons evaluated by worker processes are folded into the
         session counters from their returned payloads.
         """
@@ -735,14 +746,28 @@ class ExecutionSession:
             # counters (workload builds included) for the service.
             cell_kwargs["session"] = self
         fn = functools.partial(_comparison_cell, cell_kwargs)
+        warmed: Dict[str, EstimatorRun] = {}
         with self.grid():
             if (batch_cells and self.store is not None and all_specs
                     and "mesh" in kwargs.get("include", ESTIMATORS)):
-                self.prepass(items)
+                self.prepass(items, warmed=warmed)
             if all_specs:
                 results = executor.map_specs(fn, items)
             else:
                 results = executor.map(fn, items)
+        for spec, result in zip(items, results) if warmed else ():
+            # The cell found the prepass's artifact in the store; hand
+            # back the run the prepass computed instead of the replay.
+            run = result.value.runs.get("mesh") if result.ok else None
+            if run is None or not run.cached:
+                continue
+            computed = warmed.pop(artifact_keys(
+                spec, ("mesh",), result.value.spec_hash)["mesh"], None)
+            if computed is not None:
+                result.value.runs["mesh"] = computed
+                if serial:
+                    self._count(estimator_runs_cached=-1,
+                                estimator_runs_computed=1)
         if not serial:
             for result in results:
                 if result.ok:

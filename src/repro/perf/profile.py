@@ -3,20 +3,15 @@
 Times the paths the kernel optimization work targets and records the
 numbers as a benchmark trajectory (see :mod:`repro.perf.bench`):
 
-* ``commit_throughput`` — regions committed per second on a dense
-  8-thread / 2-resource workload, in both slice-accounting modes.  The
-  incremental/rescan *ratio* is hardware-portable and is what the CI
-  regression gate (:mod:`repro.perf.gate`) watches.
+* ``commit_throughput`` — regions committed per second by the object
+  engine on a dense 8-thread / 2-resource workload (not gated: an
+  absolute rate moves with the runner hardware).
 * ``commit_throughput_soa`` — object-engine runs vs structure-of-arrays
   compiled-program replays (:mod:`repro.core.soa`) on a periodic-
-  contention workload; the soa/object *ratio* is gated.
+  contention workload; the soa/object *ratio* is hardware-portable and
+  is what the CI regression gate (:mod:`repro.perf.gate`) watches.
 * ``slice_analysis`` — timeslice analyses per second when driving the
   US scheduler directly (collect + analyze, no kernel around it).
-* ``slice_analysis_batch`` — the same drive at 64 shared resources
-  sharing one Chen-Lin model, batched (``batch_analysis=True``) vs the
-  legacy per-resource loop; the batch/scalar *ratio* is gated.
-* ``calibration_grid`` — a calibration-style grid of slice demands
-  evaluated scalar-loop vs one ``analyze_batch`` call; ratio gated.
 * ``cycle_engine`` — simulated cycles per second of the cycle-stepped
   reference engine on the FFT workload, grants per second of the
   event-driven ground truth on the same workload, and whether the two
@@ -65,15 +60,14 @@ QUICK_REGIONS_PER_THREAD = 250
 PROCESSORS = 4
 
 
-def _dense_kernel(regions_per_thread: int,
-                  **kernel_kwargs: Any) -> HybridKernel:
+def _dense_kernel(regions_per_thread: int) -> HybridKernel:
     """The commit-throughput workload: dense 2-resource contention."""
     processors = [Processor(f"p{i}", power=1.0) for i in range(PROCESSORS)]
     resources = [
         SharedResource("bus", ConstantModel(0.5), service_time=2.0),
         SharedResource("mem", ConstantModel(0.25), service_time=3.0),
     ]
-    kernel = HybridKernel(processors, resources, **kernel_kwargs)
+    kernel = HybridKernel(processors, resources)
     for t in range(THREADS):
         def body(t: int = t):
             for i in range(regions_per_thread):
@@ -98,24 +92,17 @@ def _best_of(build: Callable[[], HybridKernel], repeats: int) -> float:
 
 def commit_throughput(quick: bool = False,
                       repeats: int = 3) -> Dict[str, Any]:
-    """Regions/second in incremental vs legacy-rescan accounting."""
+    """Regions/second of the object engine on the dense workload."""
     per_thread = QUICK_REGIONS_PER_THREAD if quick else REGIONS_PER_THREAD
     repeats = 1 if quick else repeats
     regions = THREADS * per_thread
-    incremental = _best_of(
-        lambda: _dense_kernel(per_thread, slice_accounting="incremental"),
-        repeats)
-    rescan = _best_of(
-        lambda: _dense_kernel(per_thread, slice_accounting="rescan"),
-        repeats)
+    best = _best_of(lambda: _dense_kernel(per_thread), repeats)
     return {
         "threads": THREADS,
         "processors": PROCESSORS,
         "resources": 2,
         "regions": regions,
-        "incremental_regions_per_sec": round(regions / incremental, 1),
-        "rescan_regions_per_sec": round(regions / rescan, 1),
-        "ratio_incremental_over_rescan": round(rescan / incremental, 4),
+        "regions_per_sec": round(regions / best, 1),
     }
 
 
@@ -128,8 +115,7 @@ SOA_PROCESSORS = 2
 SOA_STRIDE = 4
 
 
-def _periodic_kernel(regions_per_thread: int,
-                     **kernel_kwargs: Any) -> HybridKernel:
+def _periodic_kernel(regions_per_thread: int) -> HybridKernel:
     """The SoA-throughput workload: periodic 2-resource contention."""
     processors = [Processor(f"p{i}", power=1.0)
                   for i in range(SOA_PROCESSORS)]
@@ -137,7 +123,7 @@ def _periodic_kernel(regions_per_thread: int,
         SharedResource("bus", ConstantModel(0.5), service_time=2.0),
         SharedResource("mem", ConstantModel(0.25), service_time=3.0),
     ]
-    kernel = HybridKernel(processors, resources, **kernel_kwargs)
+    kernel = HybridKernel(processors, resources)
     for t in range(THREADS):
         def body(t: int = t):
             for i in range(regions_per_thread):
@@ -160,9 +146,8 @@ def commit_throughput_soa(quick: bool = False,
     fresh kernels — the sweep/calibration usage pattern, where one
     compiled program serves every run of the same scenario shape.
     Workload enumeration is shared cost the object engine pays inline
-    during the run and the compiler hoists out of it, the same timing
-    contract as :func:`slice_analysis_batch` (only the accelerated
-    path's steady-state cost is compared).  The one-off compile cost
+    during the run and the compiler hoists out of it, so only the
+    accelerated path's steady-state cost is compared.  The one-off compile cost
     and the compile-inclusive ``ratio_soa_cold_over_object`` are
     recorded alongside so the amortization claim stays inspectable.
     Both sides' :class:`~repro.core.stats.SimulationResult` values are
@@ -251,130 +236,6 @@ def slice_analysis(quick: bool = False) -> Dict[str, Any]:
     return {
         "slices": slices,
         "slices_per_sec": round(slices / elapsed, 1),
-    }
-
-
-def slice_analysis_batch(quick: bool = False) -> Dict[str, Any]:
-    """Batched vs per-resource slice analysis at 64 shared resources.
-
-    Every resource shares one Chen-Lin model instance (the standard
-    ``build_kernel`` shape), so the batched scheduler folds each
-    timeslice's 64 model calls into a single vectorized
-    ``analyze_batch``.  Only the ``analyze()`` calls are timed —
-    collection is identical on both sides — and both sides' accumulated
-    penalties are compared to re-assert bit-identity in the record.
-    """
-    from ..contention.batch import numpy_available
-    from ..contention.chenlin import ChenLinModel
-
-    # Quick mode trims repeats, not the batch shape: the gated ratio
-    # depends on per-call amortization, so shrinking the workload would
-    # shift the metric the gate compares against the full-run baseline.
-    resource_count = 64
-    slices = 60 if quick else 120
-    repeats = 2
-
-    def run_side(batch_on: bool):
-        model = ChenLinModel()
-        resources = [SharedResource(f"r{i}", model, service_time=2.0)
-                     for i in range(resource_count)]
-        scheduler = SharedResourceScheduler(resources,
-                                            batch_analysis=batch_on)
-        processor = Processor("p0", power=1.0)
-        threads = [LogicalThread(f"t{t}", lambda: iter(()))
-                   for t in range(THREADS)]
-        priorities = {thread.name: 0 for thread in threads}
-        elapsed = 0.0
-        now = 0.0
-        for index in range(slices):
-            regions = [
-                AnnotationRegion(
-                    thread, processor, 10.0,
-                    {f"r{i}": 1 + (index + t + i) % 4
-                     for i in range(resource_count)}, now)
-                for t, thread in enumerate(threads)
-            ]
-            now += 10.0
-            scheduler.collect(now, regions)
-            t0 = time.perf_counter()
-            scheduler.analyze(priorities)
-            elapsed += time.perf_counter() - t0
-        checksum = sum(r.total_penalty for r in resources)
-        return elapsed, checksum
-
-    scalar_best = batch_best = None
-    scalar_sum = batch_sum = 0.0
-    for _ in range(repeats):
-        # Alternate sides so both see the same stretch of machine time.
-        scalar_elapsed, scalar_sum = run_side(False)
-        batch_elapsed, batch_sum = run_side(True)
-        if scalar_best is None or scalar_elapsed < scalar_best:
-            scalar_best = scalar_elapsed
-        if batch_best is None or batch_elapsed < batch_best:
-            batch_best = batch_elapsed
-    return {
-        "resources": resource_count,
-        "threads": THREADS,
-        "slices": slices,
-        "numpy": numpy_available(),
-        "penalties_match": scalar_sum == batch_sum,
-        "scalar_slices_per_sec": round(slices / scalar_best, 1),
-        "batch_slices_per_sec": round(slices / batch_best, 1),
-        "ratio_batch_over_scalar": round(scalar_best / batch_best, 4),
-    }
-
-
-def calibration_grid(quick: bool = False) -> Dict[str, Any]:
-    """Scalar loop vs one ``analyze_batch`` over a calibration grid.
-
-    The grid mirrors :func:`repro.contention.calibrate.calibrate_model`
-    demand construction (symmetric uniform streams) swept across thread
-    counts and access densities — the model-evaluation half of a
-    calibration sweep, with the cycle-engine half removed so the ratio
-    isolates the batch layer.
-    """
-    from ..contention.base import SliceDemand
-    from ..contention.batch import SliceDemandBatch, numpy_available
-    from ..contention.chenlin import ChenLinModel
-
-    # Same grid in quick and full mode (it is cheap either way) — the
-    # gated ratio moves with grid size, so quick CI runs must measure
-    # the same shape the committed baseline was recorded at.
-    model = ChenLinModel()
-    thread_counts = (2, 4, 8)
-    points_per_count = 512
-    repeats = 2 if quick else 3
-    service_time = 4.0
-    demands = []
-    for threads in thread_counts:
-        for step in range(points_per_count):
-            accesses = 10.0 + step * 490.0 / points_per_count
-            span = 5_000.0 + accesses * service_time
-            demands.append(SliceDemand(
-                start=0.0, end=span, service_time=service_time,
-                demands={f"u{i}": accesses for i in range(threads)}))
-    batch = SliceDemandBatch(demands)
-    scalar_best = batch_best = None
-    scalar_maps = batch_maps = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar_maps = [model.penalties(demand) for demand in demands]
-        scalar_elapsed = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        batch_maps = model.analyze_batch(batch)
-        batch_elapsed = time.perf_counter() - t0
-        if scalar_best is None or scalar_elapsed < scalar_best:
-            scalar_best = scalar_elapsed
-        if batch_best is None or batch_elapsed < batch_best:
-            batch_best = batch_elapsed
-    return {
-        "cells": len(demands),
-        "thread_counts": list(thread_counts),
-        "numpy": numpy_available(),
-        "results_match": batch_maps == scalar_maps,
-        "scalar_cells_per_sec": round(len(demands) / scalar_best, 1),
-        "batch_cells_per_sec": round(len(demands) / batch_best, 1),
-        "ratio_batch_over_scalar": round(scalar_best / batch_best, 4),
     }
 
 
@@ -478,8 +339,6 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "commit_throughput": commit_throughput,
     "commit_throughput_soa": commit_throughput_soa,
     "slice_analysis": slice_analysis,
-    "slice_analysis_batch": slice_analysis_batch,
-    "calibration_grid": calibration_grid,
     "cycle_engine": cycle_engine,
     "sweep_cell": sweep_cell,
     "sweep_fabric": sweep_fabric,
@@ -490,10 +349,7 @@ SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
 #: ratio of two code paths measured on the same machine in the same
 #: process is stable enough to alarm on.
 GATE_METRICS: List[str] = [
-    "commit_throughput.ratio_incremental_over_rescan",
     "commit_throughput_soa.ratio_soa_over_object",
-    "slice_analysis_batch.ratio_batch_over_scalar",
-    "calibration_grid.ratio_batch_over_scalar",
 ]
 
 # Runner executed (with a foreign src on sys.path) for --compare-src.

@@ -30,12 +30,6 @@ def model_name(model: ContentionModel) -> str:
     return getattr(model, "name", None) or type(model).__name__
 
 
-#: Sentinel marking "the primary model has not been evaluated yet" in
-#: :meth:`GuardedModel._resolve` (``None`` is not usable: a buggy model
-#: may legitimately return ``None``, which must flow into validation).
-_UNEVALUATED = object()
-
-
 @dataclass(frozen=True)
 class FallbackRecord:
     """One validation failure and the fallback it triggered."""
@@ -220,54 +214,13 @@ class GuardedModel(ContentionModel):
         model bare.
         """
         self.health.record_evaluation()
-        return self._resolve(demand)
-
-    def analyze_batch(self, batch) -> List[Dict[str, float]]:
-        """Batched evaluation with per-element validation and fallback.
-
-        The *primary* model evaluates the whole batch in one call (its
-        vectorized fast path when it has one); each element's result
-        then runs through the same validation/fallback chain as a
-        scalar call, so an element the primary gets wrong falls back
-        individually without disturbing its batch-mates.  If the
-        primary's batch call itself blows up, every element is re-run
-        through the full scalar chain — semantics (health records, the
-        final :class:`ModelValidationError` on chain exhaustion)
-        identical to element-by-element :meth:`penalties`.
-        """
-        demands = list(batch)
-        if not demands:
-            return []
-        try:
-            first_results = self.models[0].analyze_batch(demands)
-        except Exception:
-            first_results = None
-        if first_results is None or len(first_results) != len(demands):
-            return [self.penalties(demand) for demand in demands]
-        out: List[Dict[str, float]] = []
-        for demand, first in zip(demands, first_results):
-            self.health.record_evaluation()
-            out.append(self._resolve(demand, first))
-        return out
-
-    def _resolve(self, demand: SliceDemand,
-                 first_result=_UNEVALUATED) -> Dict[str, float]:
-        """Run the validation/fallback chain for one demand.
-
-        ``first_result`` short-circuits the primary model's evaluation
-        with a value already computed (the batch path); the sentinel
-        default evaluates it live.
-        """
         failures: List[str] = []
         last_error: Optional[BaseException] = None
         for index, model in enumerate(self.models):
             problem: Optional[str] = None
             result: Optional[Dict[str, float]] = None
             try:
-                if index == 0 and first_result is not _UNEVALUATED:
-                    result = first_result
-                else:
-                    result = model.penalties(demand)
+                result = model.penalties(demand)
                 problem = self._validate(result, demand)
             except ModelValidationError:
                 raise

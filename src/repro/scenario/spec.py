@@ -278,8 +278,6 @@ class MemoSpec:
 #: through ``kernel_options``, each with the values it accepts.
 KERNEL_OPTIONS: Dict[str, Tuple[object, ...]] = {
     "engine": HybridKernel.ENGINES,
-    "slice_accounting": HybridKernel.SLICE_ACCOUNTING,
-    "batch_analysis": (True, False),
 }
 
 #: ``to_dict`` key order and defaults for :class:`ScenarioSpec`.
@@ -315,9 +313,9 @@ class ScenarioSpec:
         Slice-memoization configuration (``None`` disables memoization).
     kernel_options:
         Extra :class:`~repro.core.kernel.HybridKernel` keyword
-        arguments: ``slice_accounting``, ``batch_analysis`` and
-        ``engine`` (:data:`KERNEL_OPTIONS`; :meth:`validate` rejects
-        any other key or value).  Note that kernel options are part of
+        arguments; ``engine`` is the only one
+        (:data:`KERNEL_OPTIONS`; :meth:`validate` rejects any other
+        key or value).  Note that kernel options are part of
         the spec and therefore of :meth:`spec_hash`; for knobs that are
         pure execution choices with bit-identical results — ``engine``
         above all — prefer passing overrides at run time
@@ -397,6 +395,11 @@ class ScenarioSpec:
             raise SpecValidationError(
                 f"min_timeslice must be a number, "
                 f"got {self.min_timeslice!r}", "/min_timeslice"
+            )
+        if not self.min_timeslice >= 0:  # also rejects NaN
+            raise SpecValidationError(
+                f"min_timeslice must be >= 0, got {self.min_timeslice!r}",
+                "/min_timeslice"
             )
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise SpecValidationError(

@@ -79,11 +79,10 @@ def build_kernel(workload: Workload,
         before each analytical model call (may be shared across
         kernels to amortize warm-up over a sweep).
     kernel_options:
-        Extra :class:`HybridKernel` keyword arguments
-        (``slice_accounting``, ``batch_analysis``, ``engine``, ...),
-        forwarded verbatim — ``engine="soa"`` selects the
-        structure-of-arrays execution engine with automatic object-
-        engine fallback.
+        Extra :class:`HybridKernel` keyword arguments, forwarded
+        verbatim — in practice ``engine``: ``engine="soa"`` selects
+        the structure-of-arrays execution engine with automatic
+        object-engine fallback.
     """
     if not isinstance(workload, Workload):
         spec = _as_scenario_spec(workload)

@@ -1,33 +1,35 @@
-"""Property-based bit-identity of ``analyze_batch`` vs scalar loops.
+"""Property-based bit-identity of the US analysis loop vs scalar calls.
 
-The batched analysis layer's whole contract (see
-:mod:`repro.contention.batch`) is that for every registered closed-form
-model, every batch size, and every demand shape::
-
-    model.analyze_batch(SliceDemandBatch(demands))
-        == [model.penalties(d) for d in demands]
-
-with ``==`` meaning *exact float equality and exact dict key order* —
-not approximate agreement.  These properties hammer that contract with
-randomized demand grids, on both the NumPy kernels and the pure-Python
-scalar fallback.
+:meth:`SharedResourceScheduler.analyze` evaluates one timeslice over
+every shared resource.  Its contract is that for every closed-form
+model, every number of resources sharing that model, and every demand
+shape, the slice's totals and per-resource statistics equal calling
+``model.penalties`` on each resource's demand by hand, in resource
+order — with ``==`` meaning *exact float equality and exact dict key
+order*, not approximate agreement.  These properties hammer that
+contract with randomized slices.  Test names are kept as stable ids.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.contention.batch as batch_mod
-from repro.contention import SliceDemand, SliceDemandBatch
+from repro.contention import SliceDemand
 from repro.contention.chenlin import ChenLinModel
 from repro.contention.constant import ConstantModel
 from repro.contention.md1 import MD1Model
 from repro.contention.mm1 import MM1Model
 from repro.contention.mmc import MMcModel
 from repro.contention.roundrobin import RoundRobinModel
+from repro.core.region import AnnotationRegion
+from repro.core.resource import Processor
+from repro.core.shared import SharedResource
+from repro.core.thread import LogicalThread
+from repro.core.us import SharedResourceScheduler
 
-# One instance per closed-form model that ships a vector kernel.  The
-# variant rows exercise non-default knobs (the kernels must honour them,
-# not just the defaults).
+# One instance per closed-form model.  The variant rows exercise
+# non-default knobs.
 MODELS = [
     ConstantModel(0.5),
     ConstantModel(3.25),
@@ -43,83 +45,139 @@ MODELS = [
 
 MODEL_IDS = [f"{type(m).__name__}-{i}" for i, m in enumerate(MODELS)]
 
+#: Beats per transaction of thread ``t0`` when a resource entry asks
+#: for a non-default per-transaction service time.
+BURST = 1.5
 
-def _demand(duration, service, counts, ports, with_mean_service):
-    demands = {f"t{i}": c for i, c in enumerate(counts)}
-    mean_service = {}
-    if with_mean_service and counts:
-        # Give the first thread a non-default per-transaction service.
-        mean_service["t0"] = service * 1.5
-    return SliceDemand(start=100.0, end=100.0 + duration,
-                       service_time=service, demands=demands,
-                       ports=ports, mean_service=mean_service)
+_EPS = 1e-12
 
-
-demand_strategy = st.builds(
-    _demand,
-    duration=st.one_of(
-        st.just(0.0),  # zero-width window edge case
-        st.floats(min_value=1.0, max_value=50_000.0, allow_nan=False)),
-    service=st.floats(min_value=0.5, max_value=32.0, allow_nan=False),
-    counts=st.lists(
+resource_strategy = st.tuples(
+    st.floats(min_value=0.5, max_value=32.0, allow_nan=False),  # service
+    st.lists(
         st.one_of(st.just(0.0),  # inactive thread edge case
                   st.floats(min_value=0.0, max_value=3_000.0,
                             allow_nan=False)),
-        min_size=0, max_size=5),
-    ports=st.integers(min_value=1, max_value=4),
-    with_mean_service=st.booleans(),
+        min_size=0, max_size=5),  # per-thread access counts
+    st.integers(min_value=1, max_value=4),  # ports
+    st.booleans(),  # t0 bursts on this resource
 )
 
-batch_strategy = st.lists(demand_strategy, min_size=0, max_size=8)
+duration_strategy = st.one_of(
+    st.just(0.0),  # zero-width window edge case
+    st.floats(min_value=1.0, max_value=50_000.0, allow_nan=False))
 
 
-def _assert_bit_identical(model, demands):
-    scalar = [model.penalties(d) for d in demands]
-    batched = model.analyze_batch(SliceDemandBatch(demands))
-    assert len(batched) == len(scalar)
-    for got, want in zip(batched, scalar):
-        assert list(got.keys()) == list(want.keys())
-        for key in want:
-            assert got[key] == want[key], (
-                f"{type(model).__name__}[{key}]: "
-                f"{got[key].hex()} != {want[key].hex()}")
-            assert isinstance(got[key], float)
+def _analyze(models, duration, entries):
+    """Run one slice through the US loop; return (totals, resources)."""
+    resources = [SharedResource(f"r{i}", model, service_time=service,
+                                ports=ports)
+                 for i, (model, (service, _, ports, _)) in enumerate(
+                     zip(models, entries))]
+    scheduler = SharedResourceScheduler(resources)
+    processor = Processor("p0", power=1.0)
+    threads = max((len(counts) for _, counts, _, _ in entries), default=0)
+    regions = []
+    for t in range(threads):
+        accesses, burst = {}, {}
+        for i, (_, counts, _, bursty) in enumerate(entries):
+            if t < len(counts):
+                accesses[f"r{i}"] = counts[t]
+                if bursty and t == 0:
+                    burst[f"r{i}"] = BURST
+        regions.append(AnnotationRegion(
+            LogicalThread(f"t{t}", lambda: iter(())), processor,
+            duration, accesses, 0.0, burst=burst))
+    scheduler.collect(duration, regions)
+    priorities = {f"t{t}": 0 for t in range(threads)}
+    return scheduler.analyze(priorities), resources
+
+
+def _scalar_loop(models, duration, entries):
+    """Hand-built demands, one ``penalties()`` call per resource."""
+    totals, outputs = {}, []
+    for model, (service, counts, ports, bursty) in zip(models, entries):
+        if not counts:
+            outputs.append(None)
+            continue
+        demands = {f"t{t}": count for t, count in enumerate(counts)}
+        mean_service = {}
+        first = counts[0]
+        if bursty and first > 0:
+            beats = first * BURST
+            if abs(beats - first) > _EPS * max(1.0, abs(first)):
+                mean_service["t0"] = service * beats / first
+        priorities = ({thread: 0 for thread in demands}
+                      if model.uses_priorities else {})
+        penalties = model.penalties(SliceDemand(
+            0.0, duration, service, demands, priorities, ports,
+            mean_service))
+        outputs.append(penalties)
+        for thread, penalty in penalties.items():
+            if penalty > 0:
+                totals[thread] = totals.get(thread, 0.0) + penalty
+    return totals, outputs
+
+
+def _assert_bit_identical(models, duration, entries):
+    got, resources = _analyze(models, duration, entries)
+    want, outputs = _scalar_loop(models, duration, entries)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], (
+            f"totals[{key}]: {got[key].hex()} != {want[key].hex()}")
+    for resource, output in zip(resources, outputs):
+        if output is None:
+            assert resource.penalty_by_thread == {}
+            continue
+        assert list(resource.penalty_by_thread) == list(output)
+        for key, value in output.items():
+            assert resource.penalty_by_thread[key] == value, (
+                f"{type(resource.model).__name__}[{key}]: "
+                f"{resource.penalty_by_thread[key].hex()} != "
+                f"{value.hex()}")
+            assert isinstance(value, float)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 @settings(max_examples=60, deadline=None)
-@given(demands=batch_strategy)
-def test_batch_equals_scalar_loop(model, demands):
-    _assert_bit_identical(model, demands)
+@given(duration=duration_strategy,
+       entries=st.lists(resource_strategy, min_size=0, max_size=8))
+def test_batch_equals_scalar_loop(model, duration, entries):
+    """Many resources sharing one model instance in one slice."""
+    _assert_bit_identical([model] * len(entries), duration, entries)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 @settings(max_examples=30, deadline=None)
-@given(demands=batch_strategy)
-def test_batch_equals_scalar_loop_without_numpy(model, demands):
-    saved = batch_mod._np
-    batch_mod._np = None
+@given(duration=duration_strategy,
+       entries=st.lists(resource_strategy, min_size=0, max_size=8))
+def test_batch_equals_scalar_loop_without_numpy(model, duration, entries):
+    """The loop and the models import no NumPy while they run."""
+    saved = sys.modules.get("numpy")
+    sys.modules["numpy"] = None  # any ``import numpy`` now raises
     try:
-        assert not batch_mod.numpy_available()
-        _assert_bit_identical(model, demands)
+        _assert_bit_identical([model] * len(entries), duration, entries)
     finally:
-        batch_mod._np = saved
+        if saved is None:
+            del sys.modules["numpy"]
+        else:
+            sys.modules["numpy"] = saved
 
 
 @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_empty_and_single_batches(model):
-    assert model.analyze_batch(SliceDemandBatch([])) == []
-    demand = SliceDemand(start=0.0, end=1_000.0, service_time=4.0,
-                         demands={"a": 40.0, "b": 60.0})
-    _assert_bit_identical(model, [demand])
+    got, resources = _analyze([model], 1_000.0, [(4.0, [], 1, False)])
+    assert got == {}
+    assert resources[0].penalty_by_thread == {}
+    _assert_bit_identical([model], 1_000.0, [(4.0, [40.0, 60.0], 1, False)])
 
 
 @settings(max_examples=40, deadline=None)
-@given(demands=st.lists(demand_strategy, min_size=2, max_size=10))
-def test_analyze_grouped_matches_per_model_loops(demands):
-    """Mixed-model grouped dispatch scatters results to input order."""
+@given(duration=duration_strategy,
+       entries=st.lists(resource_strategy, min_size=2, max_size=10))
+def test_analyze_grouped_matches_per_model_loops(duration, entries):
+    """Mixed models interleaved across resources, in resource order."""
     models = [ChenLinModel(), MM1Model(), ConstantModel(1.0)]
-    pairs = [(models[i % len(models)], d) for i, d in enumerate(demands)]
-    grouped = batch_mod.analyze_grouped(pairs)
-    scalar = [model.penalties(d) for model, d in pairs]
-    assert grouped == scalar
+    _assert_bit_identical(
+        [models[i % len(models)] for i in range(len(entries))],
+        duration, entries)

@@ -1,24 +1,29 @@
 """Golden equivalence suite: the optimized kernel is bit-identical.
 
-Two layers of defense around the incremental slice accounting and the
-hot-path rewrite of the kernel core:
+Two layers of defense around the kernel's incremental slice accounting
+(:meth:`SharedResourceScheduler.advance`) and the hot-path rewrite of
+the kernel core.  Both compare :class:`HybridKernel` ("incremental")
+with :class:`RescanKernel` ("rescan"), a reference defined here whose
+commits and final flush re-walk every in-flight region through
+:meth:`SharedResourceScheduler.collect`:
 
 * **Golden snapshots** — every scenario in ``golden_scenarios`` runs
   across the full configuration matrix (sync policy x min_timeslice x
-  fault plan x memo cache) in *both* accounting modes, and the
-  hex-float serialization of the entire outcome (statistics, trace
-  stream, memo hit/miss/eviction counters) must equal the committed
-  snapshot produced by the seed kernel.  Any float that drifts by even
-  one ulp fails here.
+  fault plan x memo cache) on *both* kernels, and the hex-float
+  serialization of the entire outcome (statistics, trace stream, memo
+  hit/miss/eviction counters) must equal the committed snapshot
+  produced by the seed kernel.  Any float that drifts by even one ulp
+  fails here.
 * **Property-based cross-check** — hypothesis generates small random
-  workloads and asserts ``slice_accounting="incremental"`` and
-  ``"rescan"`` agree exactly on workloads nobody hand-picked.
+  workloads and asserts the two kernels agree exactly on workloads
+  nobody hand-picked.
 
 If a deliberate behavior change is made, regenerate the snapshots with
 ``PYTHONPATH=src:tests python tests/generate_golden.py`` and say so in
 the commit message; never loosen the equality to approx.
 """
 
+import inspect
 import json
 import pathlib
 
@@ -29,12 +34,55 @@ from golden_scenarios import (MIN_TIMESLICES, SYNC_POLICIES, config_key,
 from repro.contention import ChenLinModel, ConstantModel
 from repro.core import (HybridKernel, LogicalThread, Processor,
                         SharedResource)
+from repro.core.errors import SimulationError
 from repro.core.events import consume
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "data" /
                "golden_kernel.json")
 
-ACCOUNTING_MODES = ("incremental", "rescan")
+_EPS = 1e-9
+
+
+class RescanKernel(HybridKernel):
+    """Reference kernel: every commit rescans the in-flight regions.
+
+    :meth:`_commit` and :meth:`_flush_final_slice` match the kernel's
+    except that window demand is gathered by
+    :meth:`~repro.core.us.SharedResourceScheduler.collect` over the
+    queue's regions (plus the committing one, last) instead of the
+    incremental :meth:`~repro.core.us.SharedResourceScheduler.advance`.
+    """
+
+    def _commit(self, region):
+        t_i = region.end_time
+        if t_i < self.now - _EPS:
+            raise SimulationError(
+                f"non-monotonic commit: {t_i} < {self.now}")
+        if t_i > self.now:
+            self.now = t_i
+        live = self._queue.regions()
+        live.append(region)
+        self.us.collect(self.now, live)
+        penalties = self.us.analyze(self._priorities)
+        if penalties:
+            if self.trace is not None:
+                self.trace.record("slice", self.now,
+                                  detail_penalties=dict(penalties))
+            if self._distribute_penalties(penalties, region):
+                return
+        self._finalize_region(region)
+
+    def _flush_final_slice(self):
+        self.us.collect(self.now, self._queue.regions())
+        penalties = self.us.analyze(self._priorities, force=True)
+        for thread_name, penalty in penalties.items():
+            self._by_name[thread_name].total_penalty += penalty
+
+
+#: Accounting mode (the test-id suffix) -> kernel class.
+KERNELS = {"incremental": HybridKernel, "rescan": RescanKernel}
+
+ACCOUNTING_MODES = tuple(KERNELS)
 
 CONFIGS = list(iter_configs())
 
@@ -48,7 +96,13 @@ class TestMatrixCoverage:
     """The committed snapshot file covers the matrix ISSUE demands."""
 
     def test_modes_match_kernel_contract(self):
-        assert set(ACCOUNTING_MODES) == set(HybridKernel.SLICE_ACCOUNTING)
+        # The kernel has one accounting path; the rescan reference is a
+        # subclass that only swaps how a commit gathers demand.
+        assert "slice_accounting" not in inspect.signature(
+            HybridKernel).parameters
+        assert issubclass(RescanKernel, HybridKernel)
+        assert set(RescanKernel.__dict__) >= {"_commit",
+                                              "_flush_final_slice"}
 
     def test_matrix_spans_required_axes(self):
         assert set(SYNC_POLICIES) == {"eager", "deferred"}
@@ -68,7 +122,7 @@ class TestMatrixCoverage:
     "cfg", CONFIGS, ids=[config_key(*cfg) for cfg in CONFIGS])
 def test_matches_seed_golden(cfg, mode, golden):
     """Both accounting paths reproduce the seed kernel bit-for-bit."""
-    assert run_config(*cfg, slice_accounting=mode) == \
+    assert run_config(*cfg, kernel_class=KERNELS[mode]) == \
         golden[config_key(*cfg)]
 
 
@@ -79,9 +133,8 @@ def _run_random(threads, policy, mts, mode):
         SharedResource("bus", ChenLinModel(), service_time=2.0),
         SharedResource("mem", ConstantModel(0.5), service_time=3.0),
     ]
-    kernel = HybridKernel(procs, resources, sync_policy=policy,
-                          min_timeslice=mts, trace=True,
-                          slice_accounting=mode)
+    kernel = KERNELS[mode](procs, resources, sync_policy=policy,
+                           min_timeslice=mts, trace=True)
 
     def make_body(regions):
         def body():

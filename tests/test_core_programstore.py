@@ -326,13 +326,16 @@ def test_batch_knobs_never_enter_spec_hash(tmp_path):
 
 @needs_numpy
 def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
-    """``batch_cells`` warms the store, so every comparison cache-hits."""
+    """``batch_cells`` computes every cold cell in the prepass; each
+    comparison reports that run (replayed on the SoA loop) as computed."""
     specs = fig5_grid(quick=True)
     comparisons = run_comparisons_parallel(
         specs, include=("mesh",), store=tmp_path / "store",
         batch_cells=-1)
     assert len(comparisons) == len(specs)
-    assert all(cell.value.cached_runs == 1 for cell in comparisons)
+    assert all(cell.value.cached_runs == 0 for cell in comparisons)
+    assert all(cell.value.runs["mesh"].detail.backend_used == "interp"
+               for cell in comparisons)
 
 
 @needs_numpy

@@ -286,12 +286,47 @@ class TestCounters:
         store = RunStore(tmp_path / "store")
         with ExecutionSession(store=store, jobs=1,
                               batch_cells=-1) as session:
-            session.map_comparisons(specs, include=("mesh",))
+            results = session.map_comparisons(specs, include=("mesh",))
             assert session.prepass_totals["cells_batched"] == 2
-            # The prepass warmed every mesh cell; the per-cell pass
-            # replayed them all.
-            assert session.estimator_runs_computed == 0
-            assert session.estimator_runs_cached == 2
+            # The prepass computed every mesh cell (two builds); the
+            # per-cell pass built nothing and reports the prepass's
+            # runs as computed in this call.
+            assert session.workload_builds == 2
+            assert session.estimator_runs_computed == 2
+            assert session.estimator_runs_cached == 0
+            assert [r.value.runs["mesh"].cached for r in results] == [
+                False, False]
+
+    def test_prepass_runs_count_as_computed(self, tmp_path):
+        """A run the prepass computed inside the same call is computed,
+        not cached: tallies and ``cached`` flags equal a per-cell
+        pass's on a cold grid, on its warm replay, and on a grid that
+        mixes warm cells with a new one."""
+        specs = [spec_for("uniform", seed, "chenlin", 0.0, None)
+                 for seed in (0, 7)]
+        fresh = spec_for("uniform", 11, "chenlin", 0.0, None)
+        include = ("mesh", "analytical")
+        seen = {}
+        for batch_cells in (-1, 0):
+            store = RunStore(tmp_path / f"store{batch_cells}")
+            with ExecutionSession(store=store, jobs=1,
+                                  batch_cells=batch_cells) as session:
+                passes = []
+                for grid in (specs, specs, specs + [fresh]):
+                    results = session.map_comparisons(grid,
+                                                      include=include)
+                    stats = session.stats()
+                    passes.append((
+                        stats["estimator_runs_computed"],
+                        stats["estimator_runs_cached"],
+                        [r.value.cached_runs for r in results],
+                        [{name: run.cached for name, run
+                          in r.value.runs.items()} for r in results]))
+            seen[batch_cells] = passes
+        assert seen[-1] == seen[0]
+        assert seen[0][0][:3] == (4, 0, [0, 0])
+        assert seen[0][1][:3] == (4, 4, [2, 2])
+        assert seen[0][2][:3] == (6, 8, [2, 2, 0])
 
     def test_prepass_times_the_compile(self, tmp_path, monkeypatch):
         """A prepass payload's ``wall_seconds`` spans the kernel build,

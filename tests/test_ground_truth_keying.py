@@ -62,8 +62,7 @@ _EXTRAS = {
     "budget": st.floats(0.1, 10.0).map(
         lambda seconds: {"max_wall_seconds": seconds}),
     "memo": st.integers(1, 64).map(lambda size: {"maxsize": size}),
-    "kernel_options": st.sampled_from(
-        [{"slice_accounting": "rescan"}, {"batch_analysis": True}]),
+    "kernel_options": st.just({"engine": "soa"}),
 }
 
 

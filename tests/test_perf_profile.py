@@ -17,13 +17,10 @@ class TestRunProfile:
         assert metrics["threads"] == profile_mod.THREADS
         assert metrics["regions"] == (
             profile_mod.THREADS * profile_mod.QUICK_REGIONS_PER_THREAD)
-        assert metrics["incremental_regions_per_sec"] > 0
-        assert metrics["rescan_regions_per_sec"] > 0
-        assert metrics["ratio_incremental_over_rescan"] > 0
-        # The ratio metric must be gated when its scenario ran (other
-        # gated metrics drop out with their scenarios absent).
-        assert payload["gate_metrics"] == [
-            "commit_throughput.ratio_incremental_over_rescan"]
+        assert metrics["regions_per_sec"] > 0
+        # An absolute rate is not gated, and the gated ratio drops out
+        # with its scenario absent.
+        assert payload["gate_metrics"] == []
         recorded = tmp_path / "BENCH_hotpath.json"
         assert recorded.exists()
         assert payload["recorded_to"] == str(recorded)
@@ -56,28 +53,6 @@ class TestRunProfile:
         for metric in profile_mod.GATE_METRICS:
             assert metric.split(".", 1)[0] in profile_mod.SCENARIOS
 
-    def test_slice_analysis_batch_scenario(self, tmp_path):
-        payload = profile_mod.run_profile(
-            scenarios=["slice_analysis_batch"], quick=True, record=False)
-        metrics = payload["scenarios"]["slice_analysis_batch"]
-        assert metrics["resources"] == 64
-        assert metrics["penalties_match"] is True
-        assert metrics["scalar_slices_per_sec"] > 0
-        assert metrics["batch_slices_per_sec"] > 0
-        assert metrics["ratio_batch_over_scalar"] > 0
-        assert payload["gate_metrics"] == [
-            "slice_analysis_batch.ratio_batch_over_scalar"]
-
-    def test_calibration_grid_scenario(self, tmp_path):
-        payload = profile_mod.run_profile(
-            scenarios=["calibration_grid"], quick=True, record=False)
-        metrics = payload["scenarios"]["calibration_grid"]
-        assert metrics["cells"] > 0
-        assert metrics["results_match"] is True
-        assert metrics["ratio_batch_over_scalar"] > 0
-        assert payload["gate_metrics"] == [
-            "calibration_grid.ratio_batch_over_scalar"]
-
     def test_cli_no_record_prints_metrics(self, tmp_path, capsys):
         code = profile_mod.main(["--quick", "--no-record",
                                  "--scenario", "slice_analysis"])
@@ -101,16 +76,16 @@ def _write(path, record):
     return path
 
 
-RATIO = "commit_throughput.ratio_incremental_over_rescan"
+RATIO = "commit_throughput_soa.ratio_soa_over_object"
 
 
 class TestGate:
     def test_pass_when_within_threshold(self):
-        baseline = _record({"commit_throughput":
-                            {"ratio_incremental_over_rescan": 1.2}},
+        baseline = _record({"commit_throughput_soa":
+                            {"ratio_soa_over_object": 1.2}},
                            gate_metrics=[RATIO])["results"]
-        current = _record({"commit_throughput":
-                           {"ratio_incremental_over_rescan": 1.0}}
+        current = _record({"commit_throughput_soa":
+                           {"ratio_soa_over_object": 1.0}}
                           )["results"]
         checks = gate_mod.gate(current, baseline, max_regression=0.25)
         assert len(checks) == 1
@@ -118,11 +93,11 @@ class TestGate:
         assert checks[0].regression == pytest.approx(1 / 6)
 
     def test_fail_past_threshold(self):
-        baseline = _record({"commit_throughput":
-                            {"ratio_incremental_over_rescan": 1.2}},
+        baseline = _record({"commit_throughput_soa":
+                            {"ratio_soa_over_object": 1.2}},
                            gate_metrics=[RATIO])["results"]
-        current = _record({"commit_throughput":
-                           {"ratio_incremental_over_rescan": 0.8}}
+        current = _record({"commit_throughput_soa":
+                           {"ratio_soa_over_object": 0.8}}
                           )["results"]
         checks = gate_mod.gate(current, baseline, max_regression=0.25)
         assert checks[0].failed

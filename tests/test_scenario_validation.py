@@ -175,11 +175,25 @@ class TestMemoAndKnobs:
         assert error.path == "/kernel_options/backend"
         error = located(dict(BASE, kernel_options={"engine": "fortran"}))
         assert error.path == "/kernel_options/engine"
-        error = located(dict(BASE, kernel_options={"batch_analysis": 1}))
-        assert error.path == "/kernel_options/batch_analysis"
+        error = located(dict(BASE, kernel_options={"engine": 1}))
+        assert error.path == "/kernel_options/engine"
         ScenarioSpec.from_dict(dict(BASE, kernel_options={
-            "engine": "soa", "slice_accounting": "rescan",
-            "batch_analysis": False})).validate()
+            "engine": "soa"})).validate()
+
+    @pytest.mark.parametrize("option", [{"batch_analysis": False},
+                                        {"slice_accounting": "rescan"}])
+    def test_deleted_kernel_options_are_located(self, option):
+        # The US loop has one path: its former selectors are unknown.
+        error = located(dict(BASE, kernel_options=option))
+        (name,) = option
+        assert error.path == f"/kernel_options/{name}"
+        assert "unknown kernel option" in str(error)
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, float("nan")])
+    def test_min_timeslice_must_be_non_negative(self, value):
+        error = located(dict(BASE, min_timeslice=value))
+        assert error.path == "/min_timeslice"
+        assert "must be >= 0" in str(error)
 
 
 class TestModelSpecDirect:

@@ -187,6 +187,22 @@ class TestValidation:
         assert status == 400
         assert payload["path"] == "/spec/kernel_options/backend"
 
+    @pytest.mark.parametrize("option", [{"batch_analysis": False},
+                                        {"slice_accounting": "rescan"}])
+    def test_deleted_kernel_option_is_located_400(self, server, option):
+        status, payload, _ = analyze(
+            server.port, {"spec": dict(SPEC, kernel_options=option)})
+        (name,) = option
+        assert status == 400
+        assert payload["path"] == f"/spec/kernel_options/{name}"
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_bad_min_timeslice_is_located_400(self, server, value):
+        status, payload, _ = analyze(
+            server.port, {"spec": dict(SPEC, min_timeslice=value)})
+        assert status == 400
+        assert payload["path"] == "/spec/min_timeslice"
+
     def test_missing_spec_bad_include_bad_deadline(self, server):
         port = server.port
         status, payload, _ = analyze(port, {})
@@ -407,7 +423,7 @@ class TestPrepassIntegration:
     def test_batched_drain_warms_the_store_without_per_cell_runs(
             self, tmp_path):
         """With the mesh prepass on, a drained cold batch is computed
-        by the prepass and the per-cell pass replays it."""
+        by the prepass and the per-cell pass runs nothing again."""
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                batch_cells=-1,
                                quota_capacity=10_000,
@@ -419,12 +435,14 @@ class TestPrepassIntegration:
             snapshot = stats(handle.port)
             session = snapshot["session"]
             assert session["prepass"]["cells_batched"] == 1
-            # One build (the prepass compile), zero per-cell computes:
-            # the cell replayed the artifact the prepass committed.
+            # One build (the prepass compile) and no per-cell run: the
+            # cell found the prepass's artifact, and the run the
+            # prepass computed for this request is reported computed.
             assert session["workload_builds"] == 1
-            assert session["estimator_runs_computed"] == 0
-            assert session["estimator_runs_cached"] == 1
-            assert payload["runs"]["mesh"]["cached"] is True
+            assert session["estimator_runs_computed"] == 1
+            assert session["estimator_runs_cached"] == 0
+            assert payload["source"] == "computed"
+            assert payload["runs"]["mesh"]["cached"] is False
 
     def test_cold_drain_leaves_only_run_store_artifacts(self, tmp_path):
         """The prepass compiles in memory: a cold drain writes run-store
