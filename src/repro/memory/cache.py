@@ -11,13 +11,21 @@ indexed cache.  An ``invalidate_range`` operation approximates coherence:
 when another processor writes a region, the lines a processor holds from
 that region must be re-fetched — this is what keeps transpose
 (communication) phases bus-heavy even with a large cache.
+
+State is kept per *line number* (``address >> log2(line_bytes)``): each
+set is a plain list of resident lines in LRU order (most recent last),
+and one set of line numbers holds the dirty ones.  Sets never interact —
+a line maps to exactly one set, and LRU order, eviction and write-back
+are decided inside that set — so the bulk entry point
+:meth:`Cache.access_lines` and the per-access :meth:`Cache.access` run
+the same state machine and may be mixed freely with
+:meth:`Cache.invalidate_range` and :meth:`Cache.flush`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, List, Set, Tuple
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -92,40 +100,89 @@ class Cache:
         self.num_sets = sets
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = sets - 1
-        # Per set: OrderedDict tag -> dirty flag; LRU at the front.
-        self._sets: Tuple[OrderedDict, ...] = tuple(
-            OrderedDict() for _ in range(sets))
+        # Per set: resident line numbers, LRU first, MRU last.
+        self._sets: Tuple[List[int], ...] = tuple(
+            [] for _ in range(sets))
+        #: Line numbers of the resident lines that are dirty.
+        self._dirty: Set[int] = set()
         self.stats = CacheStats()
 
     # -- lookup ------------------------------------------------------------
 
-    def _locate(self, address: int) -> Tuple[OrderedDict, int]:
-        line = address >> self._line_shift
-        return self._sets[line & self._set_mask], line
-
     def access(self, address: int, write: bool = False) -> bool:
         """Perform one CPU access; returns ``True`` on a hit."""
-        ways, tag = self._locate(address)
+        line = address >> self._line_shift
+        ways = self._sets[line & self._set_mask]
+        stats = self.stats
         if write:
-            self.stats.writes += 1
+            stats.writes += 1
+            self._dirty.add(line)
         else:
-            self.stats.reads += 1
-        if tag in ways:
-            ways.move_to_end(tag)
-            if write:
-                ways[tag] = True
+            stats.reads += 1
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
             return True
         # Miss: allocate, possibly evicting the LRU way.
         if write:
-            self.stats.write_misses += 1
+            stats.write_misses += 1
         else:
-            self.stats.read_misses += 1
+            stats.read_misses += 1
         if len(ways) >= self.associativity:
-            _, dirty = ways.popitem(last=False)
-            if dirty:
-                self.stats.writebacks += 1
-        ways[tag] = write
+            victim = ways.pop(0)
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                stats.writebacks += 1
+        ways.append(line)
         return False
+
+    def access_lines(self, accesses: Iterable[Tuple[int, bool]]) -> None:
+        """Perform one CPU access per ``(line, is_write)`` pair, in order.
+
+        The bulk form of :meth:`access`, with addresses already shifted
+        to line numbers: exactly the same hits, misses, write-backs and
+        final contents as calling ``access(line << log2(line_bytes),
+        is_write)`` for each pair.  A repeat of its set's most recent
+        line — a sequential walk touching one line several times — costs
+        a single comparison.
+        """
+        sets, mask = self._sets, self._set_mask
+        assoc, dirty = self.associativity, self._dirty
+        count = writes = read_misses = write_misses = writebacks = 0
+        for line, write in accesses:
+            count += 1
+            ways = sets[line & mask]
+            if ways and ways[-1] == line:
+                if write:
+                    writes += 1
+                    dirty.add(line)
+                continue
+            if line in ways:
+                ways.remove(line)
+                ways.append(line)
+                if write:
+                    writes += 1
+                    dirty.add(line)
+                continue
+            if write:
+                writes += 1
+                write_misses += 1
+                dirty.add(line)
+            else:
+                read_misses += 1
+            if len(ways) >= assoc:
+                victim = ways.pop(0)
+                if victim in dirty:
+                    dirty.remove(victim)
+                    writebacks += 1
+            ways.append(line)
+        stats = self.stats
+        stats.reads += count - writes
+        stats.writes += writes
+        stats.read_misses += read_misses
+        stats.write_misses += write_misses
+        stats.writebacks += writebacks
 
     def read(self, address: int) -> bool:
         """CPU load; returns hit flag."""
@@ -147,32 +204,32 @@ class Cache:
         """
         first = start >> self._line_shift
         last = (max(start, end - 1)) >> self._line_shift
+        sets, mask, dirty = self._sets, self._set_mask, self._dirty
         dropped = 0
         if last - first < self.num_sets * self.associativity:
             # Fewer lines in the range than the cache can hold: probe
             # each one in its set rather than scan every resident way.
-            sets, mask = self._sets, self._set_mask
-            for tag in range(first, last + 1):
-                ways = sets[tag & mask]
-                if tag in ways:
-                    del ways[tag]
+            for line in range(first, last + 1):
+                ways = sets[line & mask]
+                if line in ways:
+                    ways.remove(line)
+                    dirty.discard(line)
                     dropped += 1
         else:
-            for ways in self._sets:
-                stale = [tag for tag in ways if first <= tag <= last]
-                for tag in stale:
-                    del ways[tag]
-                    dropped += 1
+            for ways in sets:
+                stale = [line for line in ways if first <= line <= last]
+                for line in stale:
+                    ways.remove(line)
+                dirty.difference_update(stale)
+                dropped += len(stale)
         self.stats.invalidations += dropped
         return dropped
 
     def flush(self) -> int:
         """Write back and drop everything; returns write-back count."""
-        writebacks = 0
+        writebacks = len(self._dirty)
+        self._dirty.clear()
         for ways in self._sets:
-            for tag, dirty in ways.items():
-                if dirty:
-                    writebacks += 1
             ways.clear()
         self.stats.writebacks += writebacks
         return writebacks
@@ -181,8 +238,8 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident."""
-        ways, tag = self._locate(address)
-        return tag in ways
+        line = address >> self._line_shift
+        return line in self._sets[line & self._set_mask]
 
     def resident_lines(self) -> int:
         """Number of lines currently cached."""

@@ -1,4 +1,10 @@
-"""Running address streams through a cache to derive bus traffic."""
+"""Running address streams through a cache to derive bus traffic.
+
+:func:`run_stream` shifts each address to its line number and feeds the
+stream to :meth:`~repro.memory.cache.Cache.access_lines`, the cache's
+bulk path, without materializing it.  Callers that can compute line
+numbers directly (the FFT generator) call ``access_lines`` themselves.
+"""
 
 from __future__ import annotations
 
@@ -37,8 +43,9 @@ def run_stream(cache: Cache,
     before_misses = cache.stats.misses
     before_writebacks = cache.stats.writebacks
     before_accesses = cache.stats.accesses
-    for address, is_write in stream:
-        cache.access(address, write=is_write)
+    shift = cache.line_bytes.bit_length() - 1
+    cache.access_lines((address >> shift, is_write)
+                       for address, is_write in stream)
     return StreamProfile(
         accesses=cache.stats.accesses - before_accesses,
         misses=cache.stats.misses - before_misses,

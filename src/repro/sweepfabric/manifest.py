@@ -4,7 +4,8 @@ The manifest is what makes a sharded sweep *killable*: after every
 shard state change the supervisor rewrites one small JSON file with the
 same temp-file + ``os.replace`` discipline as
 :meth:`~repro.scenario.store.RunStore.put`, so a reader (including the
-resuming run after a SIGKILL) never observes a torn checkpoint.
+resuming run after a SIGKILL) never observes a torn checkpoint.  A save
+that would not change the file's bytes is skipped.
 
 The manifest records shard *state*, not cell results — results live in
 the content-addressed :class:`~repro.scenario.store.RunStore`, which is
@@ -146,19 +147,31 @@ class ShardManifest:
         return counts
 
     def save(self) -> None:
-        """Atomically rewrite the checkpoint (crash-safe, torn-proof)."""
+        """Atomically rewrite the checkpoint (crash-safe, torn-proof).
+
+        A checkpoint whose bytes equal the file's current contents is
+        not rewritten: a warm resume, whose every shard is already
+        ``done`` on disk, writes nothing.
+        """
         payload = {
             "version": MANIFEST_VERSION,
             "plan_hash": self.plan_hash,
             "shards": [record.to_dict()
                        for record in self.records.values()],
         }
+        data = json.dumps(payload, sort_keys=True,
+                          indent=1).encode("utf-8")
+        try:
+            if self.path.read_bytes() == data:
+                return
+        except OSError:
+            pass  # no checkpoint yet (or unreadable): write one
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=str(self.path.parent),
                                         suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=1)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_name, self.path)
         except BaseException:
             try:

@@ -5,9 +5,8 @@ import pytest
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, PriorityModel,
                               RoundRobinModel, SliceDemand)
-from repro.contention.util import (closed_wait, open_wait,
-                                   per_thread_utilization,
-                                   saturation_floor)
+from repro.contention.util import (WindowTerms, open_wait, others,
+                                   per_thread_utilization)
 
 from _helpers import demand
 
@@ -55,19 +54,26 @@ class TestUtilHelpers:
         assert mm1 == pytest.approx(2 * md1)
 
     def test_closed_wait_bounded_by_peers(self):
-        rho = {"a": 0.4, "b": 5.0, "c": 0.1}
-        wait = closed_wait(2.0, rho, "a")
+        # rho = {"a": 0.4, "b": 5.0, "c": 0.1}
+        d = demand(duration=100.0, service=2.0, a=20, b=250, c=5)
+        wait = WindowTerms(d).closed_waits()[0]
         assert wait == pytest.approx(2.0 * (1.0 + 0.1))
+
+    def test_others_sums_in_list_order(self):
+        values = [0.1, 0.2, 0.3, 1e16, -1e16]
+        assert others(values) == [
+            sum(v for j, v in enumerate(values) if j != i)
+            for i in range(len(values))]
+        assert others([0.5, 0.25]) == [0.25, 0.5]
+        assert others([0.5]) == [0] and others([]) == []
 
     def test_saturation_floor_empty_below_knee(self):
         d = demand(duration=100.0, service=2.0, a=10, b=10)
-        rho = per_thread_utilization(d)
-        assert saturation_floor(d, rho) == {}
+        assert WindowTerms(d).saturation_floor() == {}
 
     def test_saturation_floor_grows_with_overload(self):
         d = demand(duration=100.0, service=2.0, a=40, b=40)
-        rho = per_thread_utilization(d)  # total = 3.2
-        floors = saturation_floor(d, rho)
+        floors = WindowTerms(d).saturation_floor()  # total rho = 3.2
         assert floors["a"] > 0
         # Bounded by the hard closed cap a * s * (N-1).
         assert floors["a"] <= 40 * 2.0 * 1

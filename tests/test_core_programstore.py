@@ -357,4 +357,7 @@ def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
     assert "program_loads" not in text
     assert "engine_used:" in text
     assert "backend_used:" in text
-    assert f"cached={len(specs)}" in text
+    # A cold sweep computed every mesh run (in its prepass): none of
+    # them is a cache replay.
+    assert f"interp={len(specs)}" in text
+    assert "cached=" not in text

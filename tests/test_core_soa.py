@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import needs_numpy
 from golden_scenarios import (SCENARIOS, iter_configs, config_key,
                               make_fault_plan, snapshot)
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
@@ -39,8 +40,7 @@ from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, available_models)
 from repro.core import (HybridKernel, LogicalThread, Processor,
-                        SharedResource, compile_kernel, numpy_available,
-                        run_program)
+                        SharedResource, compile_kernel, run_program)
 from repro.core.errors import (ConfigurationError,
                                UnsupportedFeatureError)
 from repro.core.events import (acquire, barrier_wait, consume, release,
@@ -54,10 +54,6 @@ from repro.scenario.spec import ModelSpec, ScenarioSpec
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent / "data" /
                "golden_kernel.json")
-
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="SoA engine needs NumPy")
-
 
 def result_snapshot(result) -> dict:
     """Hex-float serialization of a result (no trace log required).
@@ -638,6 +634,7 @@ def _counting_builds(monkeypatch):
     return calls
 
 
+@needs_numpy
 def test_soa_spec_probe_costs_no_extra_builds(monkeypatch):
     """A spec-visible fallback must not materialize the workload twice.
 

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _helpers import needs_numpy
 from repro.cycle import EventEngine
 from repro.engine import ESTIMATORS, ExecutionSession, artifact_keys
 from repro.engine import session as session_module
@@ -276,9 +277,9 @@ def _prepass_specs():
 
 
 class TestPrepassFailures:
+    @needs_numpy
     def test_one_failing_cell_is_counted_and_recomputed(
             self, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.core.kernel import HybridKernel
 
         specs = _prepass_specs()
@@ -304,11 +305,15 @@ class TestPrepassFailures:
         text = result.summary()
         assert "failed=1" in text
         assert "prepass failure: replay: RuntimeError x1" in text
-        # The per-cell path computed the failed cell.
-        assert result.counters["estimator_runs_recomputed"] == 1
+        # Every run was computed in this sweep: the prepass computed all
+        # but the failed cell, and the per-cell path computed that one.
+        assert result.counters["estimator_runs_recomputed"] == len(specs)
+        assert result.counters["estimator_runs_cached"] == 0
+        engines = sorted(cell.mesh_engine for cell in result.cells)
+        assert engines == ["object"] + ["soa"] * (len(specs) - 1)
 
+    @needs_numpy
     def test_bad_cell_does_not_fail_its_batch(self, tmp_path):
-        pytest.importorskip("numpy")
         good, other = _prepass_specs()[:2]
         # Constructed without validate(): the kernel build raises.
         bad = dataclasses.replace(other, kernel_options={"bogus": 1})

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.contention import ChenLinModel, PriorityModel, SliceDemand
-from repro.contention.util import (closed_wait_for, open_wait_for,
-                                   per_thread_utilization)
+from repro.contention.util import WindowTerms, per_thread_utilization
 from repro.core import LogicalThread, Processor
 from repro.core.region import AnnotationRegion
 from repro.core.shared import SharedResource
@@ -88,20 +87,18 @@ class TestHeterogeneousWaitHelpers:
 
         demand = self.demand()
         rho = per_thread_utilization(demand)
-        hetero = open_wait_for(demand, rho, "cpu", 0.98)
+        terms = WindowTerms(demand)
+        hetero = terms.open_waits(0.98)[terms.names.index("cpu")]
         homo = open_wait(2.0, sum(v for k, v in rho.items()
                                   if k != "cpu"), 0.98)
         assert hetero == pytest.approx(homo)
 
     def test_longer_partner_service_raises_both_terms(self):
-        light = self.demand()
-        heavy = self.demand(dma=16.0)
-        rho_light = per_thread_utilization(light)
-        rho_heavy = per_thread_utilization(heavy)
-        assert (open_wait_for(heavy, rho_heavy, "cpu", 0.98)
-                > open_wait_for(light, rho_light, "cpu", 0.98))
-        assert (closed_wait_for(heavy, rho_heavy, "cpu")
-                > closed_wait_for(light, rho_light, "cpu"))
+        light = WindowTerms(self.demand())
+        heavy = WindowTerms(self.demand(dma=16.0))
+        cpu = light.names.index("cpu")
+        assert heavy.open_waits(0.98)[cpu] > light.open_waits(0.98)[cpu]
+        assert heavy.closed_waits()[cpu] > light.closed_waits()[cpu]
 
     def test_priority_model_closed_cap_heterogeneous(self):
         demand = SliceDemand(

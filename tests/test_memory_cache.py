@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import ReferenceCache, cache_contents
 from repro.memory import Cache
 
 
@@ -160,30 +161,16 @@ class TestInvalidation:
                       st.integers(min_value=-2 * line, max_value=span)),
             min_size=1, max_size=4))
         cache = Cache(capacity, line_bytes=line, associativity=assoc)
-        reference = Cache(capacity, line_bytes=line, associativity=assoc)
+        reference = ReferenceCache(capacity, line_bytes=line,
+                                   associativity=assoc)
         for address, write in fill:
             cache.access(address, write=write)
             reference.access(address, write=write)
         for start, length in ranges:
             assert (cache.invalidate_range(start, start + length)
-                    == full_scan_invalidate(reference, start,
-                                            start + length))
+                    == reference.invalidate_range(start, start + length))
             assert cache.stats == reference.stats
-            assert ([list(ways.items()) for ways in cache._sets]
-                    == [list(ways.items()) for ways in reference._sets])
-
-
-def full_scan_invalidate(cache, start, end):
-    """``Cache.invalidate_range`` by definition: scan every set."""
-    first = start >> cache._line_shift
-    last = max(start, end - 1) >> cache._line_shift
-    dropped = 0
-    for ways in cache._sets:
-        for tag in [tag for tag in ways if first <= tag <= last]:
-            del ways[tag]
-            dropped += 1
-    cache.stats.invalidations += dropped
-    return dropped
+            assert cache_contents(cache) == reference.set_contents()
 
 
 class TestStats:

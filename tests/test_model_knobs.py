@@ -3,8 +3,7 @@
 import pytest
 
 from repro.contention import ChenLinModel, SliceDemand
-from repro.contention.util import (SATURATION_KNEE, saturation_floor,
-                                   per_thread_utilization)
+from repro.contention.util import SATURATION_KNEE, WindowTerms
 
 
 def saturated_demand(total_rho=1.4, threads=4, duration=1_000.0,
@@ -17,24 +16,21 @@ def saturated_demand(total_rho=1.4, threads=4, duration=1_000.0,
 
 class TestKneeParameter:
     def test_default_uses_module_constant(self):
-        demand = saturated_demand()
-        rho = per_thread_utilization(demand)
-        default = saturation_floor(demand, rho)
-        explicit = saturation_floor(demand, rho, knee=SATURATION_KNEE)
+        terms = WindowTerms(saturated_demand())
+        default = terms.saturation_floor()
+        explicit = terms.saturation_floor(knee=SATURATION_KNEE)
         assert default == explicit
 
     def test_lower_knee_raises_floor(self):
-        demand = saturated_demand()
-        rho = per_thread_utilization(demand)
-        early = saturation_floor(demand, rho, knee=0.8)
-        late = saturation_floor(demand, rho, knee=1.0)
+        terms = WindowTerms(saturated_demand())
+        early = terms.saturation_floor(knee=0.8)
+        late = terms.saturation_floor(knee=1.0)
         for name in early:
             assert early[name] >= late.get(name, 0.0)
 
     def test_knee_above_total_disables_floor(self):
-        demand = saturated_demand(total_rho=1.2)
-        rho = per_thread_utilization(demand)
-        assert saturation_floor(demand, rho, knee=1.3) == {}
+        terms = WindowTerms(saturated_demand(total_rho=1.2))
+        assert terms.saturation_floor(knee=1.3) == {}
 
     def test_chenlin_knee_validation(self):
         with pytest.raises(ValueError):
