@@ -56,7 +56,8 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..analytical import characterize, estimate_queueing
 from ..contention.base import ContentionModel
@@ -266,6 +267,11 @@ class ExecutionSession:
         #: workload hash -> characterization profiles, while a
         #: :meth:`grid` scope is open (``None`` otherwise).
         self._profiles: Optional[Dict[str, Dict]] = None
+        #: (artifact key, estimator) -> a run this session's
+        #: :meth:`prepass` computed and stored and no comparison has
+        #: reported yet, while a :meth:`grid` scope is open (``None``
+        #: otherwise).
+        self._warmed: Optional[Dict[Tuple[str, str], EstimatorRun]] = None
         self._grid_depth = 0
 
     # -- lifecycle ----------------------------------------------------
@@ -298,15 +304,43 @@ class ExecutionSession:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def absorb(self, runs: int, cached: int,
-               iss_cached: Optional[bool] = None) -> None:
-        """Fold one comparison evaluated in a worker process into the
-        counters: ``runs`` estimator runs, ``cached`` of them from the
-        store, and whether its ISS run (if any) was reused."""
-        self._count(comparisons=1, estimator_runs_cached=cached,
-                    estimator_runs_computed=runs - cached,
-                    iss_runs_reused=int(iss_cached is True),
-                    iss_runs_computed=int(iss_cached is False))
+    def absorb(self, spec, cached: Mapping[str, bool],
+               spec_hash: Optional[str] = None
+               ) -> Dict[str, EstimatorRun]:
+        """Fold one comparison a worker process evaluated into the counters.
+
+        ``cached`` says, per estimator, whether the worker replayed its
+        run from the store; ``spec`` and ``spec_hash`` name the cell
+        (``spec_hash`` is ``None`` for a bare workload).  A replayed run
+        that this session's :meth:`prepass` computed counts as computed,
+        exactly as :meth:`comparison` counts it in-process, and is
+        returned (by estimator) for the caller to report in place of
+        the replay.
+        """
+        hits = [name for name, hit in cached.items() if hit]
+        claimed: Dict[str, EstimatorRun] = {}
+        if hits and spec_hash is not None and self._warmed:
+            keys = artifact_keys(spec, hits, spec_hash)
+            for name in hits:
+                run = self._claim(keys[name], name)
+                if run is not None:
+                    claimed[name] = run
+        replayed = len(hits) - len(claimed)
+        iss = (cached["iss"] and "iss" not in claimed
+               if "iss" in cached else None)
+        self._count(comparisons=1, estimator_runs_cached=replayed,
+                    estimator_runs_computed=len(cached) - replayed,
+                    iss_runs_reused=int(iss is True),
+                    iss_runs_computed=int(iss is False))
+        return claimed
+
+    def _claim(self, key: str, estimator: str) -> Optional[EstimatorRun]:
+        """Take the run this session's prepass computed and stored as
+        ``(key, estimator)``, if no comparison has reported it yet."""
+        with self._lock:
+            if self._warmed is None:
+                return None
+            return self._warmed.pop((key, estimator), None)
 
     def stats(self) -> Dict[str, object]:
         """Snapshot of session, store, and pool counters (thread-safe)."""
@@ -338,14 +372,17 @@ class ExecutionSession:
         While a scope is open, :meth:`comparison` and :meth:`prepass`
         share one memo of characterization profiles keyed by workload
         hash, so the cells of a grid that differ only in model or
-        kernel knobs characterize their workload once.  The memo is
-        dropped when the outermost scope closes, so it never outgrows
-        the grid being evaluated.  Scopes nest (the service's drain
-        thread and a caller may overlap).
+        kernel knobs characterize their workload once.  The session
+        also keeps the runs the scope's prepass computed until a
+        comparison reports each one as computed.  Both are dropped when
+        the outermost scope closes, so they never outgrow the grid
+        being evaluated.  Scopes nest (the service's drain thread and a
+        caller may overlap).
         """
         with self._lock:
             if self._grid_depth == 0:
                 self._profiles = {}
+                self._warmed = {}
             self._grid_depth += 1
         try:
             yield
@@ -354,6 +391,7 @@ class ExecutionSession:
                 self._grid_depth -= 1
                 if self._grid_depth == 0:
                     self._profiles = None
+                    self._warmed = None
 
     def _characterize(self, workload_key: Optional[str],
                       build: Callable[[], Workload]) -> Dict:
@@ -381,10 +419,16 @@ class ExecutionSession:
         payload}`` when **every** artifact is present (counting store
         hits, and the ISS run as reused), else ``None``.  This is the
         warm path of the sweep supervisor: a full hit answers without
-        building anything.
+        building anything.  A cell holding a run this session's
+        :meth:`prepass` computed is no hit: :meth:`comparison` reports
+        that run as computed.
         """
         if self.store is None:
             return None
+        with self._lock:
+            if self._warmed and any((key, estimator) in self._warmed
+                                    for estimator, key in keys.items()):
+                return None
         payloads = {estimator: self.store.get(key, estimator)
                     for estimator, key in keys.items()}
         if any(payload is None for payload in payloads.values()):
@@ -501,6 +545,12 @@ class ExecutionSession:
         computed = cached = 0
         for estimator in include:
             if store is not None:
+                run = self._claim(keys[estimator], estimator)
+                if run is not None:
+                    # This grid's prepass computed and stored the run.
+                    runs[estimator] = run
+                    computed += 1
+                    continue
                 payload = store.get(keys[estimator], estimator)
                 if payload is not None:
                     runs[estimator] = EstimatorRun(
@@ -592,9 +642,7 @@ class ExecutionSession:
     # -- the grid-granularity sequence --------------------------------
 
     def prepass(self, specs: Sequence,
-                batch_cells: Optional[int] = None,
-                warmed: Optional[Dict[str, EstimatorRun]] = None
-                ) -> Dict[str, object]:
+                batch_cells: Optional[int] = None) -> Dict[str, object]:
         """Warm the run store's ``mesh`` artifacts for a grid.
 
         Cold cells (no ``mesh`` artifact in the store) whose specs sit
@@ -617,9 +665,10 @@ class ExecutionSession:
         TypeError``, ``replay: ...``, ``export: ...``) tallied under
         ``failures``.
 
-        ``warmed``, when given, receives every run this call computes
-        and stores, under its ``mesh`` artifact key, so the caller can
-        report those runs as computed rather than as store hits.
+        Inside a :meth:`grid` scope the session keeps every run this
+        call computes and stores, and the first :meth:`comparison` (or
+        :meth:`absorb`) to reach one reports it as computed rather than
+        as a store hit, counted once.
         """
         from ..core.compile import compile_kernel, soa_spec_fallback_reason
         from ..core.errors import UnsupportedFeatureError
@@ -694,8 +743,9 @@ class ExecutionSession:
                 fail("export", err)
                 continue
             store.put(key, "mesh", payload)
-            if warmed is not None:
-                warmed[key] = run
+            with self._lock:
+                if self._warmed is not None:
+                    self._warmed[(key, "mesh")] = run
             counters["cells_batched"] += 1
             tally[result.backend_used] = \
                 tally.get(result.backend_used, 0) + 1
@@ -746,34 +796,20 @@ class ExecutionSession:
             # counters (workload builds included) for the service.
             cell_kwargs["session"] = self
         fn = functools.partial(_comparison_cell, cell_kwargs)
-        warmed: Dict[str, EstimatorRun] = {}
         with self.grid():
             if (batch_cells and self.store is not None and all_specs
                     and "mesh" in kwargs.get("include", ESTIMATORS)):
-                self.prepass(items, warmed=warmed)
+                self.prepass(items)
             if all_specs:
                 results = executor.map_specs(fn, items)
             else:
                 results = executor.map(fn, items)
-        for spec, result in zip(items, results) if warmed else ():
-            # The cell found the prepass's artifact in the store; hand
-            # back the run the prepass computed instead of the replay.
-            run = result.value.runs.get("mesh") if result.ok else None
-            if run is None or not run.cached:
-                continue
-            computed = warmed.pop(artifact_keys(
-                spec, ("mesh",), result.value.spec_hash)["mesh"], None)
-            if computed is not None:
-                result.value.runs["mesh"] = computed
-                if serial:
-                    self._count(estimator_runs_cached=-1,
-                                estimator_runs_computed=1)
-        if not serial:
-            for result in results:
-                if result.ok:
-                    comparison = result.value
-                    iss = comparison.runs.get("iss")
-                    self.absorb(len(comparison.runs),
-                                comparison.cached_runs,
-                                iss.cached if iss is not None else None)
+            if not serial:
+                for item, result in zip(items, results):
+                    if result.ok:
+                        comparison = result.value
+                        comparison.runs.update(self.absorb(
+                            item, {name: run.cached for name, run
+                                   in comparison.runs.items()},
+                            comparison.spec_hash))
         return results
