@@ -57,15 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
              "are reused across invocations (keyed by spec hash and "
              "code version)")
 
-    engine = argparse.ArgumentParser(add_help=False)
-    engine.add_argument(
-        "--engine", default=None, choices=("object", "soa"),
-        help="hybrid execution engine: 'soa' compiles specs to the "
-             "structure-of-arrays kernel program (falling back to the "
-             "object engine, with a recorded reason, for unsupported "
-             "features); execution-only — never changes spec hashes "
-             "or results")
-
     batching = argparse.ArgumentParser(add_help=False)
     batching.add_argument(
         "--batch-cells", type=int, default=0, metavar="N",
@@ -74,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
              "spec in memory (0 = off); execution-only — never "
              "changes spec hashes or results")
 
-    fig4 = sub.add_parser("fig4", parents=[jobs, cache, engine],
+    fig4 = sub.add_parser("fig4", parents=[jobs, cache],
                           help="FFT queueing vs processor count")
     fig4.add_argument("--cache-kb", type=int, default=512,
                       choices=(512, 8))
@@ -87,19 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--points", type=int, default=4096)
     table1.add_argument("--procs", type=int, nargs="+", default=(2, 4, 8))
 
-    fig5 = sub.add_parser("fig5", parents=[jobs, cache, engine],
+    fig5 = sub.add_parser("fig5", parents=[jobs, cache],
                           help="PHM queueing vs bus delay")
     fig5.add_argument("--bus-delays", type=float, nargs="+",
                       default=(2, 4, 6, 8, 10, 12, 16, 20))
     fig5.add_argument("--idle", type=float, default=0.90,
                       help="idle fraction of the second processor")
 
-    fig6 = sub.add_parser("fig6", parents=[jobs, cache, engine],
+    fig6 = sub.add_parser("fig6", parents=[jobs, cache],
                           help="model error vs unbalance")
     fig6.add_argument("--quick", action="store_true",
                       help="single seed, fewer points")
 
-    sub.add_parser("all", parents=[jobs, cache, engine],
+    sub.add_parser("all", parents=[jobs, cache],
                    help="run every experiment")
 
     sub.add_parser("validate",
@@ -139,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
              "that falls back when an evaluation misbehaves")
 
     report = sub.add_parser(
-        "report", parents=[jobs, cache, engine],
+        "report", parents=[jobs, cache],
         help="compare all estimators across several JSON scenarios")
     report.add_argument("scenarios", nargs="+", metavar="SCENARIO_JSON",
                         help="paths to scenario .json files (workload "
@@ -148,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=available_models())
 
     run = sub.add_parser(
-        "run", parents=[cache, engine],
+        "run", parents=[cache],
         help="run a serialized scenario spec through the estimators")
     run.add_argument("--spec", required=True, metavar="SPEC_JSON",
                      help="path to a ScenarioSpec .json file")
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=available_models())
 
     sweep = sub.add_parser(
-        "sweep", parents=[jobs, cache, engine, batching],
+        "sweep", parents=[jobs, cache, batching],
         help="fault-tolerant sharded sweep of a named spec grid "
              "(resumable via manifest + run store)")
     sweep.add_argument("--grid", default="fig5",
@@ -238,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(requires --jobs != 1)")
 
     serve = sub.add_parser(
-        "serve", parents=[jobs, cache, engine],
+        "serve", parents=[jobs, cache],
         help="contention-modeling-as-a-service: HTTP/JSON server "
              "answering POST /v1/analyze from the run store (warm) or "
              "one coalesced kernel run (cold)")
@@ -273,8 +264,7 @@ def _run_fig4(args) -> str:
     rows = run_fig4(cache_kb=args.cache_kb,
                     proc_counts=tuple(args.procs), points=args.points,
                     jobs=getattr(args, "jobs", 1),
-                    store=getattr(args, "cache_dir", None),
-                    engine=getattr(args, "engine", None))
+                    store=getattr(args, "cache_dir", None))
     return render_fig4(rows)
 
 
@@ -288,21 +278,18 @@ def _run_fig5(args) -> str:
     rows = run_fig5(bus_delays=tuple(args.bus_delays),
                     idle_fractions=(0.06, args.idle),
                     jobs=getattr(args, "jobs", 1),
-                    store=getattr(args, "cache_dir", None),
-                    engine=getattr(args, "engine", None))
+                    store=getattr(args, "cache_dir", None))
     return render_fig5(rows)
 
 
 def _run_fig6(args) -> str:
     jobs = getattr(args, "jobs", 1)
     store = getattr(args, "cache_dir", None)
-    engine = getattr(args, "engine", None)
     if args.quick:
         rows = run_fig6(idle_sweep=(0.0, 0.45, 0.90), bus_delays=(8,),
-                        seeds=(1,), jobs=jobs, store=store,
-                        engine=engine)
+                        seeds=(1,), jobs=jobs, store=store)
     else:
-        rows = run_fig6(jobs=jobs, store=store, engine=engine)
+        rows = run_fig6(jobs=jobs, store=store)
     return render_fig6(rows)
 
 
@@ -316,7 +303,6 @@ def _run_all(args) -> str:
         quick = False
         jobs = getattr(args, "jobs", 1)
         cache_dir = getattr(args, "cache_dir", None)
-        engine = getattr(args, "engine", None)
 
     parts = []
     for cache_kb in (512, 8):
@@ -444,9 +430,7 @@ def _run_report(args) -> str:
     cache_dir = getattr(args, "cache_dir", None)
     cells = run_comparisons_parallel(list(specs.values()),
                                      jobs=getattr(args, "jobs", 1),
-                                     store=cache_dir,
-                                     engine=getattr(args, "engine",
-                                                    None))
+                                     store=cache_dir)
     by_path = dict(zip(specs, cells))
     rows = []
     cached_runs = 0
@@ -495,8 +479,7 @@ def _run_run(args) -> str:
     include = (ESTIMATORS if args.estimator == "all"
                else (args.estimator,))
     comparison = run_comparison(spec, include=include,
-                                store=getattr(args, "cache_dir", None),
-                                engine=getattr(args, "engine", None))
+                                store=getattr(args, "cache_dir", None))
     lines = [f"spec: {args.spec}",
              f"spec hash: {comparison.spec_hash}"]
     for name in include:
@@ -584,7 +567,6 @@ def _run_sweep(args) -> str:
         manifest_path=args.manifest, include=include, retry=retry,
         shard_budget=args.shard_timeout,
         cell_timeout=args.cell_timeout, chaos=chaos,
-        engine=getattr(args, "engine", None),
         batch_cells=getattr(args, "batch_cells", 0))
     return result.summary()
 
@@ -644,7 +626,6 @@ def _run_serve(args) -> str:
         port=args.port,
         store=getattr(args, "cache_dir", None),
         jobs=getattr(args, "jobs", 1),
-        engine=getattr(args, "engine", None),
         batch_cells=args.batch_cells,
         deadline_seconds=args.deadline_seconds,
         quota_capacity=args.quota_capacity,

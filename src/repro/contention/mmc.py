@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .base import ContentionModel, SliceDemand
-from .util import per_thread_utilization
+from .util import WindowTerms, others
 
 _EPS = 1e-12
 
@@ -55,14 +55,17 @@ class MMcModel(ContentionModel):
         self.rho_max = float(rho_max)
 
     def penalties(self, demand: SliceDemand) -> Dict[str, float]:
-        rho = per_thread_utilization(demand)  # per single server
-        if not rho:
+        terms = WindowTerms(demand)  # rho per single server
+        if not terms.names:
             return {}
         servers = max(1, int(demand.ports))
         service = demand.service_time
-        total = sum(rho.values())
+        total = terms.total
+        # Each thread's view of the other masters' in-flight accesses.
+        in_flight = others([min(1.0, value) for value in terms.rho])
         result: Dict[str, float] = {}
-        for name, my_rho in rho.items():
+        for name, count, my_rho, busy in zip(terms.names, terms.counts,
+                                             terms.rho, in_flight):
             # Offered load from the *other* masters, in Erlangs.
             interference = total - my_rho
             load = min(interference, servers * self.rho_max)
@@ -73,21 +76,18 @@ class MMcModel(ContentionModel):
             # Closed-system cap: of the other masters' in-flight
             # accesses, only those beyond the c-1 remaining free ports
             # delay the tagged access.
-            in_flight = sum(min(1.0, value) for other, value in rho.items()
-                            if other != name)
-            closed = service * max(0.0, in_flight - (servers - 1)) / servers
+            closed = service * max(0.0, busy - (servers - 1)) / servers
             wait = min(wait, closed)
-            penalty = demand.demands[name] * wait
+            penalty = count * wait
             if penalty > 0:
                 result[name] = penalty
         # Flow-balance floor against the aggregate capacity c/s.
-        if total > servers * 0.95 and demand.duration > _EPS:
+        if total > servers * 0.95 and terms.duration > _EPS:
             stretch = ((total - servers * 0.95) / servers
-                       * demand.duration)
-            others = len(rho) - 1
-            for name in rho:
-                hard_cap = (demand.demands[name] * service * others
-                            / servers)
+                       * terms.duration)
+            peers = len(terms.names) - 1
+            for name, count in zip(terms.names, terms.counts):
+                hard_cap = count * service * peers / servers
                 floor = min(stretch, hard_cap)
                 if floor > result.get(name, 0.0):
                     result[name] = floor

@@ -42,24 +42,6 @@ from .base import ContentionModel, SliceDemand
 _EPS = 1e-12
 
 
-def per_thread_utilization(demand: SliceDemand) -> Dict[str, float]:
-    """Offered utilization per thread: ``a_i * S_i / T``.
-
-    ``S_i`` is the thread's mean transaction service time (defaults to
-    the resource's ``service_time``), so burst transfers contribute
-    their full bus occupancy.  For degenerate (zero-width) windows
-    every demanding thread is reported at utilization 1.0, pushing
-    callers onto the closed bound.
-    """
-    if demand.duration <= _EPS:
-        return {name: 1.0 for name, count in demand.demands.items()
-                if count > 0}
-    return {
-        name: count * demand.service_of(name) / demand.duration
-        for name, count in demand.demands.items() if count > 0
-    }
-
-
 def open_wait(service: float, interference: float, rho_max: float,
               deterministic: bool = True) -> float:
     """Homogeneous open-arrival wait behind ``interference`` utilization.
@@ -99,8 +81,9 @@ class WindowTerms:
     Covers the threads with a positive demand, in ``demand.demands``
     order: :attr:`names`, their access counts (:attr:`counts`), mean
     transaction service times ``S_i`` (:attr:`service`) and offered
-    utilizations ``rho_i = a_i * S_i / T`` (:attr:`rho`, the values of
-    :func:`per_thread_utilization`), plus ``total = sum(rho)``.
+    utilizations ``rho_i = a_i * S_i / T`` (:attr:`rho`; every demanding
+    thread reads 1.0 in a zero-width window, which pushes the models
+    onto the closed bound), plus ``total = sum(rho)``.
     """
 
     __slots__ = ("duration", "names", "counts", "service", "rho",

@@ -11,8 +11,7 @@ Public surface::
     )
 """
 
-from .compile import (SoAProgram, compile_kernel, numpy_available,
-                      soa_spec_fallback_reason)
+from .compile import SoAProgram, compile_kernel, soa_spec_fallback_reason
 from .errors import (BudgetExceededError, ConfigurationError, DeadlockError,
                      ModelValidationError, ProtocolError, SimulationError,
                      SynchronizationError, UnsupportedFeatureError)
@@ -52,7 +51,7 @@ __all__ = [
     "ProcessorStats", "ResourceStats", "SimulationResult", "ThreadStats",
     "ThreadState", "TraceEvent", "TraceLog",
     "acquire", "barrier_wait", "cond_notify", "cond_wait", "compile_kernel",
-    "consume", "cycle_result_to_dict", "gantt_rows", "numpy_available",
+    "consume", "cycle_result_to_dict", "gantt_rows",
     "release", "result_to_dict", "run_program", "save_json",
     "sem_acquire", "sem_release",
     "soa_spec_fallback_reason", "spawn", "trace_to_events",

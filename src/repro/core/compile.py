@@ -9,10 +9,9 @@ everything the engine needs into plain arrays:
 * per-thread region streams (complexity, power-independent extra time,
   shared-resource access counts, burst beat factors), enumerated once
   from each thread's body generator at compile time;
-* region durations, resolved against processor power with a vectorized
-  NumPy pass whenever the placement is static (pinned threads, or a
-  homogeneous processor pool) and handed back as plain Python floats so
-  the runtime loop never touches array scalars;
+* region durations, resolved against processor power at compile time
+  whenever the placement is static (pinned threads, or a homogeneous
+  processor pool), with the object engine's own arithmetic;
 * resource metadata (service times, ports, models) with exact-type
   fast-path kernels recognized for
   :class:`~repro.contention.constant.ConstantModel` and
@@ -26,7 +25,13 @@ the configurations whose object-engine semantics the array program can
 reproduce bit for bit: FIFO-family scheduling, ``consume`` bodies plus
 barrier-only synchronization and non-nested FIFO mutexes under the
 eager wake policy (no semaphores, condition variables, or spawns), no
-tracing, no fault plans, no budgets, no memoization, and NumPy present.
+tracing, no fault plans, no budgets and no memoization.
+
+Lowering enumerates every thread body ahead of the run, so it is exact
+only for bodies whose events do not depend on simulation state — the
+bodies :func:`repro.workloads.to_mesh.build_kernel` lowers from static
+traces, which is why that builder is the one that selects
+``engine="soa"``.
 
 Synchronization lowers to per-thread *op streams*: each thread body
 becomes a sequence of ``(opcode, arg)`` tuples (:data:`OP_REGION`,
@@ -50,17 +55,6 @@ from .errors import UnsupportedFeatureError
 from .events import Acquire, BarrierWait, Consume, Release
 from .scheduler import FifoScheduler, PinnedScheduler
 
-try:  # NumPy is an optional accelerator, never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the SoA engine's compile pass can run in this interpreter."""
-    return _np is not None
-
-
 #: Scheduler spec names whose pick policy the SoA engine replicates
 #: (the FIFO family: single ready-order scan honoring affinity).
 _SOA_SCHEDULERS = (None, "fifo", "pinned")
@@ -79,13 +73,9 @@ def soa_spec_fallback_reason(spec) -> Optional[str]:
     Returns the feature string that will route a
     :class:`~repro.scenario.spec.ScenarioSpec` to the object engine, or
     ``None`` when the spec *may* lower (the definitive probe runs on
-    the assembled kernel, where thread bodies can be enumerated).  This
-    is the check :func:`~repro.experiments.runner.run_comparison` and
-    the sweep fabric consult before building anything, so a store-warm
-    comparison with ``engine="soa"`` still does zero workload builds.
+    the assembled kernel, where thread bodies can be enumerated).  The
+    mesh prepass consults it to skip a cell without building it.
     """
-    if _np is None:
-        return "running without NumPy"
     if spec.trace:
         return "tracing"
     if spec.fault_plan is not None:
@@ -105,9 +95,8 @@ class SoAProgram:
     Thread-major region streams plus resource metadata; every value is
     a plain Python scalar, list, tuple, or dict so the runtime loop in
     :class:`~repro.core.soa.SoAKernelEngine` runs allocation-free over
-    native types (NumPy is a compile-time tool here, not a runtime
-    container — at in-flight set sizes of one region per processor,
-    array dispatch costs more than it saves).
+    native types (at in-flight set sizes of one region per processor,
+    array dispatch would cost more than it saves).
     """
 
     __slots__ = (
@@ -181,8 +170,6 @@ def compile_kernel(kernel) -> SoAProgram:
     thread's own lazily-materialized generator untouched so the object
     engine can still run the kernel after a failed compile.
     """
-    if _np is None:
-        raise UnsupportedFeatureError("running without NumPy")
     if kernel.trace is not None:
         raise UnsupportedFeatureError("tracing")
     if kernel.fault_plan is not None:
@@ -340,15 +327,13 @@ def compile_kernel(kernel) -> SoAProgram:
         program.region_bursts.append(bursts)
         program.registered_regions += sum(1 for pairs in accesses if pairs)
         if complexity and (affinity is not None or homogeneous):
-            # Static placement: resolve every duration in one
-            # vectorized pass.  float64 element-wise divide/add are the
-            # same IEEE-754 operations the object engine performs one
-            # region at a time, so the handed-back Python floats are
-            # bit-identical to Processor.duration_of() + extra_time.
+            # Static placement: resolve every duration up front with
+            # the object engine's own arithmetic
+            # (Processor.duration_of() + extra_time), so the values are
+            # bit-identical to the ones it computes region by region.
             power = powers[affinity if affinity is not None else 0]
-            durations = (_np.asarray(complexity, dtype=_np.float64) / power
-                         + _np.asarray(extra, dtype=_np.float64))
-            program.region_durations.append(durations.tolist())
+            program.region_durations.append(
+                [c / power + e for c, e in zip(complexity, extra)])
         elif complexity:
             program.region_durations.append(None)
         else:
@@ -394,13 +379,21 @@ def _probe_body(thread) -> List[object]:
 
     Admits plain consumes plus the widened sync subset (barrier waits
     and mutex acquire/release); everything else — semaphores, condition
-    variables, spawns — routes to the object engine.
+    variables, spawns — routes to the object engine.  The factory is
+    called twice first: one that hands out the same generator each call
+    would have this probe consume the events the object engine needs
+    after a fallback, so it routes there before anything is consumed.
     """
     body = thread._body()
     if not hasattr(body, "__next__"):
         raise UnsupportedFeatureError(
             f"thread {thread.name!r} body factories that do not return "
             f"a generator"
+        )
+    if thread._body() is body:
+        raise UnsupportedFeatureError(
+            f"thread {thread.name!r} body factories that return the same "
+            f"generator on every call"
         )
     events: List[object] = []
     for event in body:

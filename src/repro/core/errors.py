@@ -111,7 +111,8 @@ class UnsupportedFeatureError(SimulationError):
     Raised by the structure-of-arrays compiler
     (:mod:`repro.core.compile`) when a scenario uses a feature the SoA
     engine does not lower — tracing, fault plans, budgets, memoization,
-    synchronization events, non-FIFO scheduling, or a missing NumPy.
+    non-lowered synchronization events, non-FIFO scheduling, or thread
+    bodies it cannot enumerate without side effects.
     :class:`~repro.core.kernel.HybridKernel` catches it and falls back
     to the object engine, recording :attr:`feature` as the routing
     reason on the result (GuardedModel-style graceful degradation —

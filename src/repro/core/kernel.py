@@ -95,11 +95,18 @@ class HybridKernel:
         (default) is the reference loop below; ``"soa"`` compiles the
         scenario to a flat structure-of-arrays program
         (:mod:`repro.core.compile`) and runs it on the array engine
-        (:mod:`repro.core.soa`) — bit-identical results, an order of
-        magnitude faster on the commit hot path.  Configurations the
-        compiler does not lower (tracing, fault plans, budgets,
-        memoization, sync events, non-FIFO scheduling, missing NumPy)
-        route back to the object engine automatically;
+        (:mod:`repro.core.soa`).  The compiler enumerates every thread
+        body before the run, so ``"soa"`` is exact only for bodies
+        whose events do not depend on simulation state (a body yielding
+        ``consume(1.0 + kernel.now)`` is not); the kernel cannot
+        observe that, so only
+        :func:`repro.workloads.to_mesh.build_kernel`, whose bodies are
+        lowered from static traces, selects it.  For such bodies the
+        results are bit-identical and the commit hot path is an order
+        of magnitude faster.  Configurations the compiler does not
+        lower (tracing, fault plans, budgets, memoization, semaphores
+        and other non-lowered sync events, non-FIFO scheduling) route
+        back to the object engine automatically;
         :attr:`engine_used` and :attr:`engine_fallback_reason` record
         the routing on the kernel and on the result — never silent.
         A compiled program always replays on the interpreted array

@@ -34,10 +34,10 @@ aspiration; the correspondence rests on three structural facts:
   operation, including the epsilon thresholds (1e-9 kernel, 1e-12 US)
   and in-check vs ``.get``-based dict accumulation per code path.
 
-NumPy does its work at compile time (vectorized duration lowering); the
-runtime loop is pure Python over native scalars, where it beats array
-dispatch at the in-flight set sizes this kernel sees (one region per
-processor).  Closed-form fast paths are inlined for exact-type
+Static region durations are resolved at compile time; the runtime loop
+is pure Python over native scalars, which beats array dispatch at the
+in-flight set sizes this kernel sees (one region per processor).
+Closed-form fast paths are inlined for exact-type
 ``ConstantModel`` / ``NullModel`` resources; every other model takes
 the generic :class:`~repro.contention.base.SliceDemand` +
 ``model.penalties()`` path, so guarded chains, priority models, and

@@ -12,8 +12,8 @@ needs:
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only engine/``iss_engine`` selection defaults
-  (never part of any spec hash);
+* the execution-only ``iss_engine`` selection default (never part of
+  any spec hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
   vs replayed, ISS runs computed vs reused, workload builds, prepass
   totals and failures) that a long-running service exposes on its
@@ -37,9 +37,10 @@ verbatim — the method bodies *are* the original code, moved:
   wrote (``wall_seconds`` is an environment measurement, everything
   else is physics);
 * a comparison whose every requested estimator hits the store performs
-  **zero workload builds** — the spec-level SoA probe included;
-* engine routing records a fallback reason on every divergence (zero
-  silent divergence), exactly as the kernel itself does.
+  **zero workload builds**;
+* MESH engine routing is the kernel's own: a workload-built kernel
+  records why it fell back to the object engine (zero silent
+  divergence).
 
 :func:`repro.experiments.runner.run_comparison` and
 :func:`~repro.experiments.runner.run_comparisons_parallel` are thin
@@ -51,7 +52,6 @@ lifetime.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import threading
 import time
@@ -220,11 +220,11 @@ class ExecutionSession:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  The session probes it before running anything and
         commits every computed estimator payload back.
-    engine / iss_engine:
-        Session-wide execution defaults (``engine="soa"``,
-        ``iss_engine="event"`` ...), overridable per call.  Pure
-        execution knobs: never part of any spec hash, and both
-        engines are bit-identical.
+    iss_engine:
+        Session-wide ground-truth engine (``"event"`` or
+        ``"stepped"``), overridable per call.  A pure execution knob:
+        never part of any spec hash, and both engines are
+        bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
@@ -237,14 +237,12 @@ class ExecutionSession:
     """
 
     def __init__(self, store=None,
-                 engine: Optional[str] = None,
                  iss_engine: str = "event",
                  jobs: int = 1,
                  batch_cells: int = 0):
         from ..scenario.store import as_store
 
         self.store = as_store(store)
-        self.engine = engine
         self.iss_engine = iss_engine
         self.jobs = jobs
         self.batch_cells = batch_cells
@@ -448,24 +446,20 @@ class ExecutionSession:
                    fault_plan=None,
                    budget=None,
                    memo_cache=None,
-                   engine: Optional[str] = None,
                    store=None) -> Comparison:
         """Evaluate a workload or scenario spec with every estimator.
 
         The canonical per-cell sequence (see
         :func:`~repro.experiments.runner.run_comparison` for the full
         parameter documentation): probe the run store per estimator
-        under its :func:`artifact_keys` key, run the misses — with the
-        spec-level SoA fallback probe routing spec-visible unsupported
-        features to the object engine before any workload
-        materialization — and commit each computed payload back to the
-        store.  ``engine`` / ``iss_engine`` default to the
-        session-wide settings when not passed.  ``store`` is
+        under its :func:`artifact_keys` key, run the misses, and commit
+        each computed payload back to the store.  ``iss_engine``
+        defaults to the session-wide setting when not passed.
+        ``store`` is
         another handle on the session's store directory (the sweep's
         in-process cells use one, so the supervisor's own handle counts
         its probe alone); it defaults to the session's.
         """
-        engine = engine if engine is not None else self.engine
         iss_engine = (iss_engine if iss_engine is not None
                       else self.iss_engine)
         spec = None
@@ -570,44 +564,22 @@ class ExecutionSession:
                 elapsed = time.perf_counter() - start
                 queueing = float(result.queueing_cycles)
             elif estimator == "mesh":
-                mesh_engine = engine
-                spec_reason = None
-                if engine == "soa" and spec is not None:
-                    from ..core.compile import soa_spec_fallback_reason
-
-                    # Probe the spec itself (never materializes the
-                    # workload): a spec-visible unsupported feature
-                    # routes to the object engine here instead of
-                    # paying a doomed compile attempt against the
-                    # assembled kernel.
-                    spec_reason = soa_spec_fallback_reason(spec)
-                    if spec_reason is not None:
-                        mesh_engine = "object"
                 start = time.perf_counter()
-                engine_kwargs = ({} if mesh_engine is None
-                                 else {"engine": mesh_engine})
                 if spec is not None:
                     # Lower the cell's one workload build (shared with
                     # the ISS and the characterization) instead of
                     # letting the spec build its own copy.
                     built = (get_workload() if spec.kind == "workload"
                              else None)
-                    result = spec.run(built, memo_cache=memo_cache,
-                                      **engine_kwargs)
+                    result = spec.run(built, memo_cache=memo_cache)
                 else:
                     result = run_hybrid(get_workload(), model=model,
                                         min_timeslice=min_timeslice,
                                         annotation=annotation,
                                         fault_plan=fault_plan,
                                         budget=budget,
-                                        memo_cache=memo_cache,
-                                        **engine_kwargs)
+                                        memo_cache=memo_cache)
                 elapsed = time.perf_counter() - start
-                if spec_reason is not None:
-                    # Keep the routing visible on the result, exactly
-                    # as a kernel-level fallback would have recorded it.
-                    result = dataclasses.replace(
-                        result, engine_fallback_reason=spec_reason)
                 queueing = result.queueing_cycles
             elif estimator == "analytical":
                 start = time.perf_counter()
@@ -649,7 +621,7 @@ class ExecutionSession:
         inside the SoA compiled subset are taken in deterministic
         ``spec_hash``-sorted order; each is built, lowered to a kernel,
         compiled, replayed through the kernel's own replay loop (the
-        call ``engine="soa"`` makes), and committed with exactly the
+        call the kernel's ``run`` makes), and committed with exactly the
         payload :meth:`comparison` would have written.  Only
         ``wall_seconds``, an environment measurement, differs; like the
         per-cell mesh timing it spans the kernel build, the compile and
@@ -786,7 +758,6 @@ class ExecutionSession:
         all_specs = items and not any(isinstance(item, Workload)
                                       for item in items)
         cell_kwargs = dict(kwargs)
-        cell_kwargs.setdefault("engine", self.engine)
         cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor

@@ -60,8 +60,7 @@ def run_fig4(cache_kb: int = 512,
              model: Optional[ContentionModel] = None,
              seed: int = 0,
              jobs: int = 1,
-             store=None,
-             engine: Optional[str] = None) -> List[Fig4Row]:
+             store=None) -> List[Fig4Row]:
     """Run the FFT sweep for one cache size.
 
     Each configuration is a :class:`ScenarioSpec` evaluated through
@@ -69,13 +68,11 @@ def run_fig4(cache_kb: int = 512,
     ``jobs > 1`` ships spec dicts to a process pool (``0`` = one worker
     per CPU) with serial-identical row ordering, and ``store`` (a
     :class:`~repro.scenario.store.RunStore` or path) makes re-runs warm
-    cache hits.  ``engine`` selects the hybrid execution engine
-    (``"soa"``/``"object"``) without changing spec hashes.
+    cache hits.
     """
     specs = fig4_specs(cache_kb=cache_kb, proc_counts=proc_counts,
                        points=points, model=model, seed=seed)
-    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine)
+    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store)
     return [
         Fig4Row(
             processors=processors,

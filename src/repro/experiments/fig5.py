@@ -55,8 +55,7 @@ def run_fig5(bus_delays: Sequence[float] = DEFAULT_BUS_DELAYS,
              model: Optional[ContentionModel] = None,
              seed: int = 1,
              jobs: int = 1,
-             store=None,
-             engine: Optional[str] = None) -> List[Fig5Row]:
+             store=None) -> List[Fig5Row]:
     """Sweep the bus access latency on the 90%-idle PHM scenario.
 
     Configurations are :class:`ScenarioSpec` cells: ``jobs > 1``
@@ -67,8 +66,7 @@ def run_fig5(bus_delays: Sequence[float] = DEFAULT_BUS_DELAYS,
                        idle_fractions=idle_fractions,
                        busy_cycles_target=busy_cycles_target,
                        model=model, seed=seed)
-    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine)
+    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store)
     return [
         Fig5Row(
             bus_delay=bus_delay,

@@ -58,8 +58,7 @@ def run_fig6(idle_sweep: Sequence[float] = DEFAULT_IDLE_SWEEP,
              model: Optional[ContentionModel] = None,
              seeds: Sequence[int] = (1, 2, 3),
              jobs: int = 1,
-             store=None,
-             engine: Optional[str] = None) -> List[Fig6Row]:
+             store=None) -> List[Fig6Row]:
     """Sweep the second processor's idle fraction.
 
     Each point averages over ``bus_delays`` x ``seeds`` scenario
@@ -74,8 +73,7 @@ def run_fig6(idle_sweep: Sequence[float] = DEFAULT_IDLE_SWEEP,
     specs = fig6_specs(idle_sweep=idle_sweep, bus_delays=bus_delays,
                        busy_cycles_target=busy_cycles_target,
                        model=model, seeds=seeds)
-    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store,
-                                        engine=engine)
+    comparisons = comparisons_for_specs(specs, jobs=jobs, store=store)
     values = [(comparison.error("mesh"), comparison.error("analytical"))
               for comparison in comparisons]
     per_point = len(bus_delays) * len(seeds)

@@ -69,7 +69,6 @@ def run_comparison(workload,
                    fault_plan=None,
                    budget=None,
                    memo_cache=None,
-                   engine: Optional[str] = None,
                    store=None) -> Comparison:
     """Evaluate a workload or scenario spec with every estimator.
 
@@ -101,18 +100,6 @@ def run_comparison(workload,
         Optional :class:`~repro.perf.memo.SliceMemoCache` attached to
         the hybrid estimator's kernel; may be passed alongside a spec
         to share one cache across a sweep's cells.
-    engine:
-        Hybrid-kernel execution engine (``"object"`` or ``"soa"``; see
-        :class:`~repro.core.kernel.HybridKernel`).  An execution knob
-        like ``iss_engine``, not scenario identity: it may be passed
-        alongside a spec, never changes the spec hash, and both
-        engines produce bit-identical results.  With ``"soa"`` and a
-        spec, a pure spec-level compile probe
-        (:func:`~repro.core.compile.soa_spec_fallback_reason`) routes
-        spec-visible unsupported features to the object engine before
-        any workload materialization, so the fallback costs zero extra
-        builds — and a comparison whose estimators all hit the run
-        store still performs zero workload builds, probe included.
     store:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  Requires a spec: estimator results are looked up by
@@ -128,7 +115,7 @@ def run_comparison(workload,
                               annotation=annotation,
                               iss_engine=iss_engine, include=include,
                               fault_plan=fault_plan, budget=budget,
-                              memo_cache=memo_cache, engine=engine)
+                              memo_cache=memo_cache)
 
 
 def run_comparisons_parallel(workloads: Sequence,
@@ -166,7 +153,6 @@ def run_comparisons_parallel(workloads: Sequence,
     """
     kwargs = dict(kwargs)
     with ExecutionSession(store=kwargs.pop("store", None),
-                          engine=kwargs.pop("engine", None),
                           jobs=jobs) as session:
         return session.map_comparisons(workloads,
                                        batch_cells=batch_cells,

@@ -30,27 +30,16 @@ def environment_info() -> Dict[str, Any]:
     numbers are only comparable between records with the same effective
     parallelism.  ``cpu_affinity`` is ``None`` on platforms without
     processor affinity (e.g. macOS).
-
-    Also stamps the ``numpy`` version, ``None`` when absent — without
-    NumPy the SoA engine routes to the object engine, so compiled-path
-    throughputs are meaningless to compare across records that differ
-    here.
     """
     try:
         affinity: Optional[int] = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         affinity = None
-    try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "cpu_affinity": affinity,
-        "numpy": numpy_version,
     }
 
 

@@ -153,11 +153,9 @@ def commit_throughput_soa(quick: bool = False,
     Both sides' :class:`~repro.core.stats.SimulationResult` values are
     compared to re-assert bit-identity in the record.
     """
-    from ..core.compile import compile_kernel, numpy_available
+    from ..core.compile import compile_kernel
     from ..core.soa import SoAKernelEngine
 
-    if not numpy_available():  # pragma: no cover - no-numpy CI skips bench
-        return {"numpy": False, "skipped": "SoA engine requires NumPy"}
     # Same region count in quick and full mode (the scenario is cheap
     # either way) — the gated ratio moves with region count because
     # fixed per-replay overhead dilutes the speedup at small sizes, so
@@ -196,7 +194,6 @@ def commit_throughput_soa(quick: bool = False,
         "resources": 2,
         "stride": SOA_STRIDE,
         "regions": regions,
-        "numpy": True,
         "results_match": object_result == soa_result,
         "compile_seconds": round(compile_elapsed, 4),
         "object_regions_per_sec": round(regions / object_best, 1),

@@ -6,8 +6,8 @@ through ``run_hybrid``/``build_kernel``/``run_comparison``, so a
 diffed, shipped to a worker process, or cached across runs.
 :class:`ScenarioSpec` is that identity: workload generator name and
 parameters (including the seed), contention model and knobs, annotation
-and scheduling policy, fault plan, budget, memoization, and kernel
-options, all as plain JSON values.
+and scheduling policy, fault plan, budget and memoization, all as plain
+JSON values.
 
 Identity is *structural*: two specs are equal iff their canonical JSON
 is equal, and :meth:`ScenarioSpec.spec_hash` (SHA-256 of the canonical
@@ -29,10 +29,9 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from ..core.errors import ConfigurationError, SpecValidationError
-from ..core.kernel import HybridKernel
 from .generators import generator_kind, make_workload, resolve_generator
 
 #: Scheduler names accepted by :attr:`ScenarioSpec.scheduler`, mapping
@@ -274,16 +273,10 @@ class MemoSpec:
                    digits=data.get("digits"))
 
 
-#: The :class:`~repro.core.kernel.HybridKernel` knobs a spec may set
-#: through ``kernel_options``, each with the values it accepts.
-KERNEL_OPTIONS: Dict[str, Tuple[object, ...]] = {
-    "engine": HybridKernel.ENGINES,
-}
-
 #: ``to_dict`` key order and defaults for :class:`ScenarioSpec`.
 _SPEC_FIELDS = ("generator", "params", "model", "models",
                 "min_timeslice", "annotation", "sync_policy", "scheduler",
-                "trace", "fault_plan", "budget", "memo", "kernel_options")
+                "trace", "fault_plan", "budget", "memo")
 
 
 @dataclass(frozen=True)
@@ -311,22 +304,14 @@ class ScenarioSpec:
         stored as plain mappings so spec equality stays structural.
     memo:
         Slice-memoization configuration (``None`` disables memoization).
-    kernel_options:
-        Extra :class:`~repro.core.kernel.HybridKernel` keyword
-        arguments; ``engine`` is the only one
-        (:data:`KERNEL_OPTIONS`; :meth:`validate` rejects any other
-        key or value).  Note that kernel options are part of
-        the spec and therefore of :meth:`spec_hash`; for knobs that are
-        pure execution choices with bit-identical results — ``engine``
-        above all — prefer passing overrides at run time
-        (``spec.run(engine="soa")``, or ``engine=`` on
-        :func:`~repro.experiments.runner.run_comparison`) so the
-        scenario's content address stays engine-agnostic.  The mesh
-        prepass knob ``batch_cells`` is likewise a pure execution
-        parameter of the runner/sweep layer and never enters the spec
-        or :meth:`spec_hash`; a prepass grid and a per-cell loop
-        produce bit-identical artifacts under the same content
-        addresses.
+
+    No field selects the execution engine: ``"workload"``-kind specs lower
+    through :func:`repro.workloads.to_mesh.build_kernel`, which always
+    selects the SoA engine, so the content address is engine-agnostic.
+    A document that still carries the deleted ``kernel_options`` field
+    is rejected with a located error.  The mesh prepass knob
+    ``batch_cells`` is likewise a pure execution parameter of the
+    runner/sweep layer and never enters the spec or :meth:`spec_hash`.
     """
 
     generator: str
@@ -341,7 +326,6 @@ class ScenarioSpec:
     fault_plan: Optional[Mapping] = None
     budget: Optional[Mapping] = None
     memo: Optional[MemoSpec] = None
-    kernel_options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         """Normalize members to JSON-plain data and validate knobs.
@@ -372,10 +356,6 @@ class ScenarioSpec:
             except SpecValidationError as err:
                 raise err.at(f"/models/{name}") from None
         setter(self, "models", models)
-        setter(self, "kernel_options",
-               _plain(_as_mapping(self.kernel_options, "kernel_options",
-                                  "/kernel_options"),
-                      "kernel_options", "/kernel_options"))
         if self.fault_plan is not None:
             setter(self, "fault_plan",
                    _plain(_as_mapping(self.fault_plan, "fault_plan",
@@ -450,8 +430,6 @@ class ScenarioSpec:
             data["budget"] = dict(self.budget)
         if self.memo is not None:
             data["memo"] = self.memo.to_dict()
-        if self.kernel_options:
-            data["kernel_options"] = dict(self.kernel_options)
         return data
 
     @classmethod
@@ -463,6 +441,14 @@ class ScenarioSpec:
         a service to turn into a 400 response naming the exact field.
         """
         _as_mapping(data, "scenario spec", "/")
+        if "kernel_options" in data:
+            options = data["kernel_options"]
+            names = sorted(options) if isinstance(options, Mapping) else []
+            raise SpecValidationError(
+                f"unknown kernel option(s) {names}: the kernel_options "
+                f"field is deleted (workload-built kernels always run "
+                f"the SoA engine)",
+                "/kernel_options" + (f"/{names[0]}" if names else ""))
         _check_unknown(data, _SPEC_FIELDS, "scenario spec")
         if "generator" not in data:
             raise SpecValidationError("scenario spec needs a "
@@ -528,16 +514,6 @@ class ScenarioSpec:
             except Exception as err:
                 raise SpecValidationError(
                     str(err), f"/models/{name}") from None
-        for name, value in self.kernel_options.items():
-            choices = KERNEL_OPTIONS.get(name)
-            if choices is None:
-                raise SpecValidationError(
-                    f"unknown kernel option {name!r}; choose from "
-                    f"{sorted(KERNEL_OPTIONS)}", f"/kernel_options/{name}")
-            if type(value) is not type(choices[0]) or value not in choices:
-                raise SpecValidationError(
-                    f"kernel option {name!r} must be one of {choices}, "
-                    f"got {value!r}", f"/kernel_options/{name}")
         try:
             self.build_fault_plan()
         except SpecValidationError:
@@ -647,7 +623,6 @@ class ScenarioSpec:
             "budget": self.build_budget(),
             "memo_cache": self.build_memo(),
         }
-        kwargs.update(self.kernel_options)
         kwargs.update(overrides)
         return kwargs
 
@@ -695,7 +670,6 @@ class ScenarioSpec:
             "budget": self.build_budget(),
             "memo_cache": self.build_memo(),
         }
-        kwargs.update(self.kernel_options)
         kwargs.update(overrides)
         return factory(**self.params, **kwargs)
 

@@ -92,7 +92,6 @@ class ServiceConfig:
     #: Worker count of the session's warm pool (1 = serial in-process,
     #: which keeps the session's kernel-run counters exact).
     jobs: int = 1
-    engine: Optional[str] = None
     #: Mesh prepass for drained batches (non-zero runs it before the
     #: per-cell path, ``0`` disables it).
     batch_cells: int = -1
@@ -119,8 +118,7 @@ class AnalyzeService:
 
         self.config = config
         self.session = session if session is not None else \
-            ExecutionSession(store=config.store, engine=config.engine,
-                             jobs=config.jobs,
+            ExecutionSession(store=config.store, jobs=config.jobs,
                              batch_cells=config.batch_cells)
         self.quotas = QuotaRegistry(
             capacity=config.quota_capacity,

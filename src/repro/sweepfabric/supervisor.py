@@ -247,8 +247,7 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
     session = config.get("session") or ExecutionSession()
-    comparison = session.comparison(spec, include=include, store=store,
-                                    engine=config.get("engine"))
+    comparison = session.comparison(spec, include=include, store=store)
     mesh = comparison.runs.get("mesh")
     mesh_engine, mesh_backend = (_mesh_labels(mesh) if mesh is not None
                                  else (None, None))
@@ -301,16 +300,13 @@ class SweepSupervisor:
                  shard_budget=None,
                  cell_timeout: Optional[float] = None,
                  chaos: Optional[ChaosPlan] = None,
-                 engine: Optional[str] = None,
                  batch_cells: int = 0,
                  sleep=time.sleep):
         #: The execution facade this sweep routes through: it owns the
-        #: run store and the engine selection shared by the probe, the
-        #: mesh prepass, and every dispatched cell (in-process cells
-        #: evaluate through it directly; worker processes through an
-        #: ephemeral session).
-        self.session = ExecutionSession(store=store,
-                                        engine=engine, jobs=jobs,
+        #: run store shared by the probe, the mesh prepass, and every
+        #: dispatched cell (in-process cells evaluate through it
+        #: directly; worker processes through an ephemeral session).
+        self.session = ExecutionSession(store=store, jobs=jobs,
                                         batch_cells=batch_cells)
         self.store = self.session.store
         if self.store is None:
@@ -324,10 +320,6 @@ class SweepSupervisor:
         self.cell_timeout = cell_timeout
         self.jobs = jobs
         self.chaos = chaos
-        #: Hybrid execution engine for every mesh cell ("soa"/"object"/
-        #: None).  Execution-only: never part of spec hashes, so cached
-        #: payloads from either engine replay interchangeably.
-        self.engine = engine
         #: Mesh prepass knob: non-zero warms cold mesh cells through
         #: the grid-granularity prepass before probing (see
         #: :meth:`~repro.engine.session.ExecutionSession.prepass`).
@@ -392,7 +384,6 @@ class SweepSupervisor:
             "store_version": self.store.version,
             "include": list(self.include),
             "chaos": self.chaos.to_dict() if self.chaos else None,
-            "engine": self.engine,
             "supervisor_pid": os.getpid(),
         }
 

@@ -46,9 +46,16 @@ def build_kernel(workload: Workload,
                  sync_policy: str = "eager",
                  fault_plan=None,
                  budget=None,
-                 memo_cache=None,
-                 **kernel_options) -> HybridKernel:
+                 memo_cache=None) -> HybridKernel:
     """Assemble a ready-to-run :class:`HybridKernel` for ``workload``.
+
+    This is the one place that selects the kernel's execution engine:
+    every thread body is lowered from a static
+    :class:`~repro.workloads.trace.ThreadTrace`, so its events never
+    depend on simulation state and the kernel always runs
+    ``engine="soa"``.  Configurations outside the compiled subset
+    (tracing, fault plans, budgets, memoization, non-FIFO schedulers)
+    run on the object engine with the reason recorded on the result.
 
     ``workload`` may also be a
     :class:`~repro.scenario.spec.ScenarioSpec`, in which case the
@@ -78,15 +85,10 @@ def build_kernel(workload: Workload,
         Optional :class:`~repro.perf.memo.SliceMemoCache` consulted
         before each analytical model call (may be shared across
         kernels to amortize warm-up over a sweep).
-    kernel_options:
-        Extra :class:`HybridKernel` keyword arguments, forwarded
-        verbatim — in practice ``engine``: ``engine="soa"`` selects
-        the structure-of-arrays execution engine with automatic
-        object-engine fallback.
     """
     if not isinstance(workload, Workload):
         spec = _as_scenario_spec(workload)
-        overrides = dict(kernel_options)
+        overrides = {}
         for key, value, default in (
                 ("model", model, None), ("models", models, None),
                 ("min_timeslice", min_timeslice, 0.0),
@@ -121,7 +123,7 @@ def build_kernel(workload: Workload,
                           min_timeslice=min_timeslice, trace=trace,
                           sync_policy=sync_policy,
                           fault_plan=fault_plan, budget=budget,
-                          memo_cache=memo_cache, **kernel_options)
+                          memo_cache=memo_cache, engine="soa")
     barriers = {
         name: Barrier(parties, name=name)
         for name, parties in workload.barrier_parties().items()

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.contention import ChenLinModel, SliceDemand
-from repro.core import (HybridKernel, LogicalThread, Processor,
-                        SharedResource, numpy_available)
-
-#: Skip marker for tests that compile through the SoA engine (or the
-#: mesh prepass, which compiles the same way).
-needs_numpy = pytest.mark.skipif(not numpy_available(),
-                                 reason="SoA engine needs NumPy")
+from repro.core import HybridKernel, LogicalThread, Processor, SharedResource
 
 
 def make_kernel(n_procs=2, service_time=4.0, model=None, powers=None,

@@ -25,7 +25,8 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro.contention import (ChenLinModel, MD1Model, MM1Model,
-                              PriorityModel, RoundRobinModel)
+                              MMcModel, PriorityModel, RoundRobinModel)
+from repro.contention.mmc import erlang_c
 from repro.contention.base import SliceDemand
 from repro.contention.util import open_wait
 from repro.memory import CacheStats
@@ -296,11 +297,47 @@ def priority_penalties(model: PriorityModel, demand: SliceDemand):
     return apply_saturation_floor(result, demand, rho)
 
 
+def mmc_penalties(model: MMcModel, demand: SliceDemand):
+    rho = per_thread_utilization(demand)
+    if not rho:
+        return {}
+    servers = max(1, int(demand.ports))
+    service = demand.service_time
+    total = sum(rho.values())
+    result = {}
+    for name, my_rho in rho.items():
+        interference = total - my_rho
+        load = min(interference, servers * model.rho_max)
+        utilization = load / servers
+        wait_probability = erlang_c(servers, load)
+        wait = (wait_probability * service
+                / (servers * max(1.0 - utilization, 1.0 - model.rho_max)))
+        in_flight = sum(min(1.0, value) for other, value in rho.items()
+                        if other != name)
+        closed = service * max(0.0, in_flight - (servers - 1)) / servers
+        wait = min(wait, closed)
+        penalty = demand.demands[name] * wait
+        if penalty > 0:
+            result[name] = penalty
+    if total > servers * 0.95 and demand.duration > _EPS:
+        stretch = ((total - servers * 0.95) / servers
+                   * demand.duration)
+        others = len(rho) - 1
+        for name in rho:
+            hard_cap = (demand.demands[name] * service * others
+                        / servers)
+            floor = min(stretch, hard_cap)
+            if floor > result.get(name, 0.0):
+                result[name] = floor
+    return result
+
+
 #: Model class -> its pre-optimization ``penalties(model, demand)``.
 REFERENCE_PENALTIES = {
     ChenLinModel: chenlin_penalties,
     MD1Model: md1_penalties,
     MM1Model: mm1_penalties,
+    MMcModel: mmc_penalties,
     RoundRobinModel: roundrobin_penalties,
     PriorityModel: priority_penalties,
 }

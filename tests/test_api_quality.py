@@ -7,7 +7,10 @@ surfaces must import cleanly in isolation.
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,6 +86,18 @@ class TestExports:
     @pytest.mark.parametrize("module_name", MODULES)
     def test_module_imports_in_isolation(self, module_name):
         importlib.import_module(module_name)
+
+    def test_product_surfaces_never_import_numpy(self):
+        """The package, the sweep fabric and the service start without
+        NumPy: nothing in ``src`` imports it (checked in a fresh
+        interpreter, since this one may have imported it already)."""
+        probe = ("import sys, repro, repro.sweepfabric, "
+                 "repro.service.server; "
+                 "print('numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestVersion:

@@ -5,8 +5,7 @@ import pytest
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
                               MM1Model, NullModel, PriorityModel,
                               RoundRobinModel, SliceDemand)
-from repro.contention.util import (WindowTerms, open_wait, others,
-                                   per_thread_utilization)
+from repro.contention.util import WindowTerms, open_wait, others
 
 from _helpers import demand
 
@@ -28,17 +27,23 @@ class TestSliceDemand:
         assert d.utilization() == 0.0
 
 
+def utilization(d):
+    """Offered utilization per demanding thread, from the window terms."""
+    terms = WindowTerms(d)
+    return dict(zip(terms.names, terms.rho))
+
+
 class TestUtilHelpers:
     def test_per_thread_utilization(self):
         d = demand(duration=100.0, service=2.0, a=10, b=5)
-        rho = per_thread_utilization(d)
+        rho = utilization(d)
         assert rho["a"] == pytest.approx(0.2)
         assert rho["b"] == pytest.approx(0.1)
 
     def test_zero_duration_means_unit_utilization(self):
         d = SliceDemand(start=0, end=0, service_time=2.0,
                         demands={"a": 3, "b": 0})
-        rho = per_thread_utilization(d)
+        rho = utilization(d)
         assert rho == {"a": 1.0}
 
     def test_open_wait_md1_form(self):

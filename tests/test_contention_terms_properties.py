@@ -7,15 +7,16 @@ key for key in the same order, its straightforward form in
 ``_reference.py``, which recomputes every sum per thread from the
 :class:`SliceDemand` — across heterogeneous ``mean_service``,
 zero-width windows, saturated windows, ``residual``, ``knee``,
-``exclude_self=False`` and priorities.
+``exclude_self=False``, priorities and (for the M/M/c model) ports.
 """
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from _reference import REFERENCE_PENALTIES
-from repro.contention import (ChenLinModel, MD1Model, MM1Model,
+from repro.contention import (ChenLinModel, MD1Model, MM1Model, MMcModel,
                               PriorityModel, RoundRobinModel, SliceDemand)
 from repro.contention.util import WindowTerms, others
 
@@ -65,6 +66,20 @@ def _exact(penalties):
 @given(model=MODELS, demand=demands())
 def test_penalties_are_bit_identical_to_the_reference(model, demand):
     reference = REFERENCE_PENALTIES[type(model)](model, demand)
+    assert _exact(model.penalties(demand)) == _exact(reference)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rho_max=_RHO_MAX, ports=st.integers(min_value=1, max_value=6),
+       demand=demands())
+def test_mmc_penalties_are_bit_identical_to_the_reference(rho_max, ports,
+                                                          demand):
+    """M/M/c over ports, heterogeneous ``mean_service`` and zero-width
+    windows: the c-server saturation floor is its own, so it is drawn
+    apart from :data:`MODELS`."""
+    model = MMcModel(rho_max=rho_max)
+    demand = dataclasses.replace(demand, ports=ports)
+    reference = REFERENCE_PENALTIES[MMcModel](model, demand)
     assert _exact(model.penalties(demand)) == _exact(reference)
 
 

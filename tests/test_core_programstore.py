@@ -4,9 +4,9 @@ Three claims under test:
 
 * **Bit identity of compiled replays** — a program compiled from a
   kernel and replayed through the kernel's own loop (``_replay``, the
-  call ``engine="soa"`` makes) must produce hex-identical results,
-  whatever the composition or order of the cells replayed one after
-  another.  Verified over the equivalence kernels, the
+  call an ``engine="soa"`` kernel's ``run`` makes) must produce
+  hex-identical results, whatever the composition or order of the
+  cells replayed one after another.  Verified over the equivalence kernels, the
   ``golden_soa.json`` sync configs, and the full 80-configuration
   golden matrix (which, tracing, must stay out of the compiled subset
   entirely — its object-engine equality is pinned by
@@ -35,7 +35,7 @@ from golden_scenarios import (SCENARIOS, config_key, iter_configs,
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_config_key, soa_kernel,
                                   soa_snapshot)
-from test_core_soa import EQUIVALENCE_KERNELS, needs_numpy, result_snapshot
+from test_core_soa import EQUIVALENCE_KERNELS, result_snapshot
 from repro.core import compile_kernel
 from repro.core.errors import UnsupportedFeatureError
 from repro.engine.session import ExecutionSession
@@ -73,10 +73,10 @@ def _mesh_payloads(store, specs):
 
 
 def _percell_payloads(tmp_path, specs):
-    """The payloads per-cell ``engine="soa"`` comparisons commit."""
+    """The payloads per-cell comparisons commit."""
     store = RunStore(tmp_path / "percell")
     for spec in specs:
-        run_comparison(spec, include=("mesh",), engine="soa", store=store)
+        run_comparison(spec, include=("mesh",), store=store)
     return _mesh_payloads(store, specs)
 
 
@@ -85,7 +85,6 @@ def _percell_payloads(tmp_path, specs):
 # ---------------------------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
 def test_store_roundtrip_replays_bit_identically(name):
     """Compile, replay: hex-identical to the object run.
@@ -98,7 +97,6 @@ def test_store_roundtrip_replays_bit_identically(name):
     assert result_snapshot(_replay(kernel)) == _ref(name)
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "cfg", list(iter_soa_configs()),
     ids=[soa_config_key(*cfg) for cfg in iter_soa_configs()])
@@ -140,7 +138,6 @@ def test_golden_matrix_configs_stay_out_of_the_program_cache(cfg):
 # ---------------------------------------------------------------------
 
 
-@needs_numpy
 @settings(max_examples=12, deadline=None)
 @given(names=st.lists(st.sampled_from(ELIGIBLE), min_size=1,
                       max_size=7),
@@ -156,7 +153,6 @@ def test_batched_grid_replay_matches_per_cell(names, seed):
         [_ref(name) for name in names]
 
 
-@needs_numpy
 @pytest.mark.parametrize("batch", [1, 2, 7, None],
                          ids=["batch1", "batch2", "batch7", "fullgrid"])
 def test_batch_size_never_changes_results(batch, tmp_path):
@@ -171,7 +167,6 @@ def test_batch_size_never_changes_results(batch, tmp_path):
         _percell_payloads(tmp_path, specs)
 
 
-@needs_numpy
 def test_replay_batch_mixed_grid_reports_tiers_honestly():
     """Every cell replays on the interpreted loop; every result matches."""
     for name in sorted(EQUIVALENCE_KERNELS):
@@ -186,7 +181,6 @@ def test_replay_batch_mixed_grid_reports_tiers_honestly():
 # ---------------------------------------------------------------------
 
 
-@needs_numpy
 def test_corrupt_bundle_counts_as_miss_and_heals(tmp_path):
     """A torn ``mesh`` artifact is a counted miss; the cold path
     recomputes it and writes the canonical payload back."""
@@ -203,7 +197,6 @@ def test_corrupt_bundle_counts_as_miss_and_heals(tmp_path):
     assert _mesh_payloads(store, [spec]) == expected
 
 
-@needs_numpy
 def test_stale_code_version_misses_by_construction(tmp_path):
     """A code change moves the run-store namespace: the prepass finds
     every cell cold again and writes the same payloads."""
@@ -217,7 +210,6 @@ def test_stale_code_version_misses_by_construction(tmp_path):
     assert _mesh_payloads(new, specs) == _mesh_payloads(old, specs)
 
 
-@needs_numpy
 def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
     """One ``mesh`` artifact per cell, no ``*.tmp`` debris, and nothing
     under the store root but the code-version namespace."""
@@ -230,7 +222,6 @@ def test_put_is_atomic_and_leaves_no_tmp(tmp_path):
     assert all((spec.spec_hash(), "mesh") in store for spec in specs)
 
 
-@needs_numpy
 def test_orphan_tmp_swept_on_open(tmp_path):
     """A crashed writer's stale ``*.tmp`` is swept when the session's
     store opens; the prepass adds none of its own."""
@@ -248,7 +239,6 @@ def test_orphan_tmp_swept_on_open(tmp_path):
     assert session.store.orphan_tmp() == 0
 
 
-@needs_numpy
 def test_program_hash_defaults_to_runtime_versions(tmp_path, monkeypatch):
     """Prepass artifacts live under the running code version."""
     monkeypatch.setenv("REPRO_CODE_VERSION", "deadbeefcafe")
@@ -266,7 +256,6 @@ def test_program_hash_defaults_to_runtime_versions(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------
 
 
-@needs_numpy
 def test_warm_program_store_performs_zero_compiles(tmp_path):
     """A second prepass over a warm run store compiles nothing and
     leaves every artifact as it was."""
@@ -282,7 +271,6 @@ def test_warm_program_store_performs_zero_compiles(tmp_path):
     assert _mesh_payloads(store, specs) == before
 
 
-@needs_numpy
 def test_prepass_artifacts_match_per_cell_runs(tmp_path):
     """The prepass writes what ``run_comparison`` would have.
 
@@ -296,7 +284,6 @@ def test_prepass_artifacts_match_per_cell_runs(tmp_path):
         _percell_payloads(tmp_path, specs)
 
 
-@needs_numpy
 def test_batch_cells_is_execution_only(tmp_path):
     """Prepasses given different ``batch_cells`` write identical
     artifacts, and a warm run store leaves nothing cold."""
@@ -313,7 +300,6 @@ def test_batch_cells_is_execution_only(tmp_path):
     assert again["compiles"] == 0
 
 
-@needs_numpy
 def test_batch_knobs_never_enter_spec_hash(tmp_path):
     """``batch_cells`` is invisible to content addresses."""
     spec = fig5_grid(quick=True)[0]
@@ -324,7 +310,6 @@ def test_batch_knobs_never_enter_spec_hash(tmp_path):
     assert spec.spec_hash() == before
 
 
-@needs_numpy
 def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
     """``batch_cells`` computes every cold cell in the prepass; each
     comparison reports that run (replayed on the SoA loop) as computed."""
@@ -338,7 +323,6 @@ def test_run_comparisons_parallel_batches_cold_grids(tmp_path):
                for cell in comparisons)
 
 
-@needs_numpy
 def test_sweep_summary_reports_tallies_and_prepass(tmp_path):
     """The sweep summary tallies engines/replay loops and the prepass.
 

@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import needs_numpy
 from golden_scenarios import (SCENARIOS, iter_configs, config_key,
                               make_fault_plan, snapshot)
 from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
@@ -230,7 +229,6 @@ EQUIVALENCE_KERNELS = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
 def test_soa_bit_identical(name):
     factory = EQUIVALENCE_KERNELS[name]
@@ -243,7 +241,6 @@ def test_soa_bit_identical(name):
     assert result_snapshot(soa) == result_snapshot(obj)
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KERNELS))
 def test_jit_replay_bit_identical(name):
     """One compiled program replays identically on fresh kernels.
@@ -260,7 +257,6 @@ def test_jit_replay_bit_identical(name):
     assert result_snapshot(again) == result_snapshot(replayed)
 
 
-@needs_numpy
 def test_program_replay_is_bit_identical():
     """Compile once, replay on fresh kernels: the sweep usage pattern."""
     program = compile_kernel(_fused())
@@ -303,7 +299,6 @@ BACKEND_MATRIX = {
 RETIRED_BACKENDS = ("auto", "interp", "jit", "numpy")
 
 
-@needs_numpy
 @pytest.mark.parametrize("backend", RETIRED_BACKENDS)
 @pytest.mark.parametrize("feature", sorted(BACKEND_MATRIX))
 def test_backend_cascade_matrix(feature, backend):
@@ -324,7 +319,6 @@ def test_backend_cascade_matrix(feature, backend):
     assert result_snapshot(result) == result_snapshot(factory().run())
 
 
-@needs_numpy
 def test_object_engine_leaves_backend_unset():
     result = _fused().run()
     assert result.backend_used is None
@@ -387,7 +381,6 @@ FALLBACK_CASES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
 def test_unsupported_features_route_to_object(case):
     """Routing is explicit (reason recorded) and result-preserving."""
@@ -399,7 +392,6 @@ def test_unsupported_features_route_to_object(case):
     assert result == reference
 
 
-@needs_numpy
 def test_until_and_steps_route_to_object():
     bounded = _fused(engine="soa").run(until=50.0)
     assert bounded.engine_used == "object"
@@ -412,17 +404,51 @@ def test_until_and_steps_route_to_object():
 
 
 def test_no_numpy_routes_to_object(monkeypatch):
-    """Scalar fallback: without NumPy every run uses the object engine."""
-    import repro.core.compile as compile_mod
+    """Without NumPy the SoA engine still runs: the compile pass is
+    pure Python.  (The id names the fallback this used to pin.)"""
+    import sys
 
-    monkeypatch.setattr(compile_mod, "_np", None)
-    assert not compile_mod.numpy_available()
-    with pytest.raises(UnsupportedFeatureError):
-        compile_kernel(_fused())
+    monkeypatch.setitem(sys.modules, "numpy", None)  # imports now fail
+    compile_kernel(_fused())
     result = _fused(engine="soa").run()
-    assert result.engine_used == "object"
-    assert result.engine_fallback_reason == "running without NumPy"
+    assert result.engine_used == "soa"
+    assert result.engine_fallback_reason is None
     assert result == _fused().run()
+
+
+def _shared_generator_kernel(engine):
+    """One thread whose factory hands out the same generator on every
+    call; the semaphore sits outside the compiled subset."""
+    kernel = HybridKernel([Processor("p0", 1.0)], engine=engine)
+    sem = Semaphore(1, name="s")
+
+    def body():
+        yield consume(5)
+        yield sem_acquire(sem)
+        yield consume(7)
+
+    shared = body()
+    kernel.add_thread(LogicalThread("t", lambda: shared))
+    return kernel
+
+
+def test_shared_generator_factory_is_not_consumed_by_the_probe():
+    """The compile probe must not eat events the fallback needs.
+
+    A probe that enumerated the shared generator would consume
+    ``consume(5)`` before hitting the semaphore, leaving the object
+    engine a makespan of 7; the factory is called twice first and the
+    run routes to the object engine with nothing consumed.
+    """
+    reference = _shared_generator_kernel("object").run()
+    assert reference.makespan == 12.0
+    with pytest.raises(UnsupportedFeatureError):
+        compile_kernel(_shared_generator_kernel("object"))
+    routed = _shared_generator_kernel("soa").run()
+    assert routed.engine_used == "object"
+    assert "same generator" in routed.engine_fallback_reason
+    assert routed.makespan == 12.0
+    assert result_snapshot(routed) == result_snapshot(reference)
 
 
 # ---------------------------------------------------------------------
@@ -473,7 +499,6 @@ def golden_soa():
     return json.loads(SOA_GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "cfg", SOA_CONFIGS,
     ids=[soa_config_key(*cfg) for cfg in SOA_CONFIGS])
@@ -528,7 +553,14 @@ spec_strategy = st.builds(
 )
 
 
-@needs_numpy
+def object_kernel(spec):
+    """The spec's kernel moved onto the object engine: the reference
+    every workload-built (SoA) run must reproduce."""
+    kernel = spec.build_kernel()
+    kernel.engine = "object"
+    return kernel
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=spec_strategy)
 def test_random_specs_bit_identical(spec):
@@ -539,8 +571,9 @@ def test_random_specs_bit_identical(spec):
     express — thread counts, access densities, window merging, every
     registered closed-form model — must agree exactly.
     """
-    obj = spec.run()
-    soa = spec.run(engine="soa")
+    obj = object_kernel(spec).run()
+    assert obj.engine_used == "object"
+    soa = spec.run()
     assert soa.engine_used == "soa"
     assert soa.engine_fallback_reason is None
     assert soa == obj
@@ -594,19 +627,18 @@ sync_spec_strategy = st.one_of(
 )
 
 
-@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(spec=sync_spec_strategy)
 def test_random_sync_specs_bit_identical_across_backends(spec):
     """Random barrier/mutex specs agree across both engines.
 
-    The object engine, the ``engine="soa"`` run, and a direct replay
+    The object engine, the spec's own (SoA) run, and a direct replay
     of the compiled program must all return hex-identical snapshots,
     and the SoA run must report the interpreted loop.
     """
-    reference = result_snapshot(spec.build_kernel().run())
+    reference = result_snapshot(object_kernel(spec).run())
 
-    soa = spec.build_kernel(engine="soa").run()
+    soa = spec.build_kernel().run()
     assert soa.engine_used == "soa"
     assert soa.engine_fallback_reason is None
     assert soa.backend_used == "interp"
@@ -634,30 +666,32 @@ def _counting_builds(monkeypatch):
     return calls
 
 
-@needs_numpy
 def test_soa_spec_probe_costs_no_extra_builds(monkeypatch):
-    """A spec-visible fallback must not materialize the workload twice.
+    """A fallback must not materialize the workload twice.
 
-    ``trace=True`` is visible on the spec itself, so the probe routes
-    to the object engine *before* any workload build — the comparison
-    performs exactly as many builds as an object-engine run would.
+    ``trace=True`` is outside the compiled subset: the kernel's own
+    compile check routes the run to the object engine before it
+    enumerates any body, records the reason, and the comparison
+    performs one workload build.
     """
+    import dataclasses
+
     from repro.experiments.runner import run_comparison
 
     spec = ScenarioSpec(generator="uniform",
                         params={"threads": 2, "phases": 3, "seed": 1},
                         trace=True)
     calls = _counting_builds(monkeypatch)
-    baseline = run_comparison(spec, include=("mesh",))
-    object_builds = len(calls)
-    calls.clear()
-    routed = run_comparison(spec, include=("mesh",), engine="soa")
-    assert len(calls) == object_builds
+    routed = run_comparison(spec, include=("mesh",))
+    assert len(calls) == 1
     detail = routed.runs["mesh"].detail
     assert detail.engine_used == "object"
     assert detail.engine_fallback_reason == "tracing"
+    untraced = run_comparison(dataclasses.replace(spec, trace=False),
+                              include=("mesh",))
+    assert untraced.runs["mesh"].detail.engine_used == "soa"
     assert detail.queueing_cycles == \
-        baseline.runs["mesh"].detail.queueing_cycles
+        untraced.runs["mesh"].detail.queueing_cycles
 
 
 def test_soa_store_hit_runs_zero_builds(tmp_path, monkeypatch):
@@ -668,10 +702,10 @@ def test_soa_store_hit_runs_zero_builds(tmp_path, monkeypatch):
                         params={"threads": 2, "phases": 3, "seed": 2},
                         trace=True)
     cold = run_comparison(spec, include=("mesh", "analytical"),
-                          store=tmp_path, engine="soa")
+                          store=tmp_path)
     assert cold.cached_runs == 0
     calls = _counting_builds(monkeypatch)
     warm = run_comparison(spec, include=("mesh", "analytical"),
-                          store=tmp_path, engine="soa")
+                          store=tmp_path)
     assert warm.cached_runs == 2
     assert calls == []

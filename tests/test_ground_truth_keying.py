@@ -26,7 +26,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import needs_numpy
 from repro.cycle import EventEngine
 from repro.engine import ESTIMATORS, ExecutionSession, artifact_keys
 from repro.engine import session as session_module
@@ -63,7 +62,6 @@ _EXTRAS = {
     "budget": st.floats(0.1, 10.0).map(
         lambda seconds: {"max_wall_seconds": seconds}),
     "memo": st.integers(1, 64).map(lambda size: {"maxsize": size}),
-    "kernel_options": st.just({"engine": "soa"}),
 }
 
 
@@ -277,7 +275,6 @@ def _prepass_specs():
 
 
 class TestPrepassFailures:
-    @needs_numpy
     def test_one_failing_cell_is_counted_and_recomputed(
             self, tmp_path, monkeypatch):
         from repro.core.kernel import HybridKernel
@@ -306,17 +303,18 @@ class TestPrepassFailures:
         assert "failed=1" in text
         assert "prepass failure: replay: RuntimeError x1" in text
         # Every run was computed in this sweep: the prepass computed all
-        # but the failed cell, and the per-cell path computed that one.
+        # but the failed cell, and the per-cell path computed that one,
+        # on the SoA engine too.
         assert result.counters["estimator_runs_recomputed"] == len(specs)
         assert result.counters["estimator_runs_cached"] == 0
         engines = sorted(cell.mesh_engine for cell in result.cells)
-        assert engines == ["object"] + ["soa"] * (len(specs) - 1)
+        assert engines == ["soa"] * len(specs)
 
-    @needs_numpy
     def test_bad_cell_does_not_fail_its_batch(self, tmp_path):
         good, other = _prepass_specs()[:2]
-        # Constructed without validate(): the kernel build raises.
-        bad = dataclasses.replace(other, kernel_options={"bogus": 1})
+        # Constructed without validate(): the workload build raises.
+        bad = dataclasses.replace(other,
+                                  params=dict(other.params, bogus=1))
         with ExecutionSession(store=RunStore(tmp_path / "store"),
                               batch_cells=-1) as session:
             cells = session.map_comparisons([good, bad],

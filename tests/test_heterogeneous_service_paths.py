@@ -3,7 +3,7 @@
 import pytest
 
 from repro.contention import ChenLinModel, PriorityModel, SliceDemand
-from repro.contention.util import WindowTerms, per_thread_utilization
+from repro.contention.util import WindowTerms
 from repro.core import LogicalThread, Processor
 from repro.core.region import AnnotationRegion
 from repro.core.shared import SharedResource
@@ -86,8 +86,8 @@ class TestHeterogeneousWaitHelpers:
         from repro.contention.util import open_wait
 
         demand = self.demand()
-        rho = per_thread_utilization(demand)
         terms = WindowTerms(demand)
+        rho = dict(zip(terms.names, terms.rho))
         hetero = terms.open_waits(0.98)[terms.names.index("cpu")]
         homo = open_wait(2.0, sum(v for k, v in rho.items()
                                   if k != "cpu"), 0.98)

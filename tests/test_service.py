@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from _helpers import needs_numpy
 from repro.service import ServiceConfig, ServiceHandle
 
 SPEC = {"generator": "uniform",
@@ -420,7 +419,6 @@ class TestFraming:
         assert [code for code, _ in answers] == [status]
 
 
-@needs_numpy
 class TestPrepassIntegration:
     def test_batched_drain_warms_the_store_without_per_cell_runs(
             self, tmp_path):

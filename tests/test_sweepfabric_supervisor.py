@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import numpy_available
 from repro.core.errors import ConfigurationError
 from repro.experiments.runner import ESTIMATORS, run_comparison
 from repro.robustness.budget import RunBudget
@@ -308,8 +307,6 @@ class TestValidation:
 
 
 class TestPrepass:
-    @pytest.mark.skipif(not numpy_available(),
-                        reason="the mesh prepass compiles through NumPy")
     @pytest.mark.parametrize("include, jobs", [
         (("mesh", "analytical"), 1), (("mesh",), 1),
         (("iss", "mesh", "analytical"), 2)],
