@@ -62,9 +62,16 @@ def others(values: List[float]) -> List[float]:
 
     Each sum adds the remaining entries in list order, exactly as
     ``sum(v for j, v in enumerate(values) if j != i)`` does (including
-    the int ``0`` of an empty sum).
+    the int ``0`` of an empty sum).  One list holds the entries but
+    ``i``: putting entry ``i`` back in its slot turns it into the list
+    without entry ``i + 1``, so no sum needs a list of its own.
     """
-    return [sum(values[:i] + values[i + 1:]) for i in range(len(values))]
+    rest = values[1:]
+    sums = [sum(rest)] if values else []
+    for i in range(len(rest)):
+        rest[i] = values[i]
+        sums.append(sum(rest))
+    return sums
 
 
 #: Utilization at which the flow-balance stretch starts.  Slightly below

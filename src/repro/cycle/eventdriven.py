@@ -8,10 +8,11 @@ experiments use it as the ground-truth generator for accuracy sweeps
 baseline for Table 1; an equivalence test suite keeps the twins locked
 together.
 
-Equivalence is by construction.  Both engines read the same lowered
-programs and share the arbiter implementations.  A grant can only
-become newly possible at a completion or a new request — both of which
-are events — so granting only at event times loses nothing.  Within one
+Equivalence is by construction.  Both engines read the same lowering
+(one item walk, one :func:`~repro.workloads.trace.expand_phase`) and
+share the arbiter implementations.  A grant can only become newly
+possible at a completion or a new request — both of which are events —
+so granting only at event times loses nothing.  Within one
 cycle the stepped engine frees every finished port, then advances the
 runnable processors in index order, then grants one waiting request per
 free port; this engine reproduces that outcome:
@@ -29,38 +30,48 @@ free port; this engine reproduces that outcome:
   after the cycle's last advance, exactly as the stepped engine does.
 
 The loop is flat.  State lives in lists indexed by processor, resource,
-barrier or lock, and the micro-ops are re-coded as ints once per run.  A
-heap entry is one int, ``time << shift | processor << 2 | kind``, whose
-kind says the processor's compute or idle run ends, its grant
-completes, or it was woken this cycle by a barrier or lock (not an event
-of its own).  A processor has at most one pending entry, so entries
-never tie.  ``cycles_executed`` counts the heap events, the ends and
-completions; wake-ups are not events.
+barrier or lock, and the micro-ops are ints from the start: the engine
+lowers each thread through the same item walk as
+:func:`~repro.cycle.program.lower_workload`, but a phase comes from the
+process's :class:`~repro.cycle.program.PhaseCodes` memo, already coded,
+so a phase met before (the bus-delay variants of one workload) is not
+expanded again, and no pass re-codes the ops per run.  A heap entry is
+one int, ``time << shift | processor << 2 | kind``, whose kind says
+the processor's compute or idle run ends, its grant completes, or it
+was woken this cycle by a barrier or lock (not an event of its own).  A
+processor has at most one pending entry, so entries never tie.
+``cycles_executed`` counts the heap events, the ends and completions;
+wake-ups are not events.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from heapq import heappop, heappush, heappushpop
-from operator import length_hint
-from typing import Dict, List
+from typing import List, Sequence
 
 from ..core.errors import BudgetExceededError
-from ..workloads.trace import Workload, access_target
+from ..workloads.trace import Workload
 from .arbiter import Request, make_arbiter
-from .program import MicroOp, lower_workload, stall_error
+from .program import (ACCESS, BARRIER, COMPUTE, IDLE, LOCK, UNLOCK,
+                      lower_thread, map_threads, phase_codes, stall_error)
 from .program import coerce_workload as _coerce_workload
 from .stats import CycleResult, GrantRecord, StatsBuilder
 
-# Int codes of the micro-ops.
-_COMPUTE = 0
-_ACCESS = 1
-_IDLE = 2
-_BARRIER = 3
-_LOCK = 4
-_UNLOCK = 5
-_OP_KINDS = {"access": _ACCESS, "idle": _IDLE, "barrier": _BARRIER,
-             "lock": _LOCK, "unlock": _UNLOCK}
+_OP_KINDS = {"idle": IDLE, "barrier": BARRIER, "lock": LOCK,
+             "unlock": UNLOCK}
+
+
+def _packed(codes: List[int]) -> Sequence[int]:
+    """One thread's codes as 8-byte ints, or the list when one is wider
+    (an absurdly long compute run): the ints of a long program cost
+    several times the array."""
+    try:
+        return array("q", codes)
+    except OverflowError:
+        return codes
+
 
 # Heap entry kinds (the low two bits).  _READY is 0, so a ready entry
 # is written ``time << shift | processor << 2``.
@@ -84,20 +95,55 @@ class EventEngine:
                  budget=None):
         workload, budget = _coerce_workload(workload, budget)
         self.workload = workload
-        self.programs = lower_workload(workload)
+        assignment = map_threads(workload)
+        threads = workload.threads
+        self._names = [thread.name for thread in threads]
+        self._processors = [assignment[thread.name] for thread in threads]
         self._arbiter_name = arbiter
-        self._priorities = {p.thread_name: p.priority
-                            for p in self.programs}
+        self._priorities = {thread.name: thread.priority
+                            for thread in threads}
         self.max_events = int(max_events)
         self.record_grants = bool(record_grants)
         self.budget = budget
 
+        # Each thread's int codes, one ``operand << 3 | kind`` per
+        # micro-op (see :class:`~repro.cycle.program.PhaseCodes`).  A
+        # barrier or lock op's operand is its index below, an idle op's
+        # its cycle count.
+        self._barrier_names = list(workload.barrier_parties())
+        self._lock_names = list(workload.lock_ids())
+        barrier_index = {name: b
+                         for b, name in enumerate(self._barrier_names)}
+        lock_index = {name: m for m, name in enumerate(self._lock_names)}
+        #: The phase-code table the codes index into.
+        self.table = table = phase_codes()
+        #: The ``(resource, burst)`` targets the program accesses.
+        self._accessed = accessed = set()
+
+        def phase(item, power, salt):
+            if item.accesses:
+                accessed.add((item.resource, item.burst))
+            return table.phase(item, power, salt)
+
+        def op(kind, arg):
+            if kind == "idle":
+                operand = arg
+            elif kind == "barrier":
+                operand = barrier_index[str(arg)]
+            else:
+                operand = lock_index[str(arg)]
+            return operand << 3 | _OP_KINDS[kind]
+
+        #: Per thread, in processor order: its int codes.
+        self.codes = [_packed(lower_thread(thread, spec.power, phase, op))
+                      for thread, spec in zip(threads, self._processors)]
+
     def run(self) -> CycleResult:
         """Simulate to completion and return ground-truth statistics."""
         workload = self.workload
-        programs = self.programs
-        nprocs = len(programs)
-        names = [program.thread_name for program in programs]
+        coded = self.codes
+        nprocs = len(coded)
+        names = self._names
 
         # Resources, barriers and locks by index.
         res_names = [spec.name for spec in workload.resources]
@@ -112,48 +158,28 @@ class EventEngine:
         queues = [deque() if fifo else [] for _ in range(nres)]
         busy = [0] * nres
         parties_by_name = workload.barrier_parties()
-        barrier_names = list(parties_by_name)
-        barrier_index = {name: b for b, name in enumerate(barrier_names)}
+        barrier_names = self._barrier_names
         parties = [parties_by_name[name] for name in barrier_names]
         arrivals: List[List[int]] = [[] for _ in barrier_names]
-        lock_names = list(workload.lock_ids())
-        lock_index = {name: m for m, name in enumerate(lock_names)}
+        lock_names = self._lock_names
         owner = [-1] * len(lock_names)
         waiters = [deque() for _ in lock_names]
 
-        # Int-coded programs: one int ``operand << 3 | kind`` per op.
-        # A compute or idle op's operand is its cycle count, an
-        # access's indexes the (resource, beats, service cycles) table
-        # of distinct targets, a barrier or lock op's is its index.
-        acc_res: List[int] = []
-        acc_burst: List[int] = []
-        acc_service: List[int] = []
-        op_codes: Dict[MicroOp, int] = {}
+        # An access code's operand indexes the table's targets; these
+        # give each target the program reaches its resource index,
+        # beats and service cycles.
+        table = self.table
+        targets = table.targets
+        acc_res = [0] * len(targets)
+        acc_burst = [0] * len(targets)
+        acc_service = [0] * len(targets)
+        for target in self._accessed:
+            t = table.access_code(target) >> 3
+            name, burst = targets[t]
+            r = acc_res[t] = res_index[name]
+            acc_burst[t] = burst
+            acc_service[t] = res_service[r] * burst
 
-        def encode(op: MicroOp) -> int:
-            kind, arg = op
-            if kind == "access":
-                name, burst = access_target(arg)
-                r = res_index[name]
-                operand = len(acc_res)
-                acc_res.append(r)
-                acc_burst.append(burst)
-                acc_service.append(res_service[r] * burst)
-            elif kind == "idle":
-                operand = arg
-            elif kind == "barrier":
-                operand = barrier_index[str(arg)]
-            elif kind in ("lock", "unlock"):
-                operand = lock_index[str(arg)]
-            else:
-                raise TypeError(f"unknown micro-op {kind!r}")
-            code = op_codes[op] = operand << 3 | _OP_KINDS[kind]
-            return code
-
-        # A non-compute code is never 0 (its kind bits are not).
-        coded = [[op[1] << 3 if op[0] == "compute"
-                  else op_codes.get(op) or encode(op)
-                  for op in program.ops] for program in programs]
         # Each processor's position in its program: an advance resumes
         # the iterator where the last one stopped.
         cursors = [iter(ops) for ops in coded]
@@ -172,7 +198,8 @@ class EventEngine:
 
             A compute op counts when it starts and an access when it is
             granted, so both follow from the ops each processor has
-            consumed, less an access still waiting in a queue.
+            consumed, less an access still waiting in a queue.  The run
+            is over, so each cursor is drained to count what is left.
             """
             queued = {entry[0] if fifo else entry.proc_index
                       for queue in queues for entry in queue}
@@ -180,19 +207,18 @@ class EventEngine:
             for r, name in enumerate(res_names):
                 stats.register_resource(name, res_service[r])
                 stats.resource_wait[name] = res_wait[r]
-            for i, program in enumerate(programs):
-                name = names[i]
-                stats.register_thread(name, program.processor.name)
+            for i, name in enumerate(names):
+                stats.register_thread(name, self._processors[i].name)
                 stats.wait[name] = wait[i]
                 stats.finish[name] = finish[i]
                 ops = coded[i]
-                consumed = (len(ops) - length_hint(cursors[i])
+                consumed = (len(ops) - sum(1 for _ in cursors[i])
                             - (i in queued))
                 for op, count in Counter(ops[:consumed]).items():
                     kind = op & 7
-                    if kind == _COMPUTE:
+                    if kind == COMPUTE:
                         stats.compute[name] += (op >> 3) * count
-                    elif kind == _ACCESS:
+                    elif kind == ACCESS:
                         cycles = acc_service[op >> 3] * count
                         resource = res_names[acc_res[op >> 3]]
                         stats.accesses[name] += count
@@ -272,10 +298,10 @@ class EventEngine:
             for op in cursors[i]:
                 kind = op & 7
                 arg = op >> 3
-                if kind == _COMPUTE:
+                if kind == COMPUTE:
                     pending = ((t + arg) << shift) | (i << 2)
                     break
-                if kind == _ACCESS:
+                if kind == ACCESS:
                     r = acc_res[arg]
                     if not fifo:
                         queues[r].append(Request(
@@ -297,10 +323,10 @@ class EventEngine:
                     else:
                         queues[r].append((i, t, acc_service[arg]))
                     break
-                if kind == _IDLE:
+                if kind == IDLE:
                     pending = ((t + arg) << shift) | (i << 2)
                     break
-                if kind == _BARRIER:
+                if kind == BARRIER:
                     arrived = arrivals[arg]
                     arrived.append(i)
                     if len(arrived) < parties[arg]:
@@ -311,13 +337,13 @@ class EventEngine:
                                      | _WOKEN)
                     arrivals[arg] = []
                     continue  # the last arriver proceeds
-                if kind == _LOCK:
+                if kind == LOCK:
                     if owner[arg] < 0:
                         owner[arg] = i
                         continue
                     waiters[arg].append(i)
                     break
-                # _UNLOCK
+                # UNLOCK
                 if owner[arg] != i:
                     raise RuntimeError(
                         f"thread {names[i]!r} unlocked "

@@ -18,8 +18,9 @@ needs:
   vs replayed, ISS runs computed vs reused, workload builds, prepass
   totals and failures) that a long-running service exposes on its
   ``/v1/stats`` endpoint;
-* a memo of characterization profiles keyed by workload hash, alive
-  only while one grid is being evaluated (:meth:`ExecutionSession.grid`).
+* while one grid is evaluated (:meth:`ExecutionSession.grid`), each
+  workload built and characterized once, kept only while a remaining
+  cell of the grid needs it.
 
 Every store read and write goes through one key function,
 :func:`artifact_keys`: the ``iss`` artifact of a ``"workload"``-kind
@@ -211,6 +212,21 @@ def _comparison_cell(kwargs: Dict, workload) -> Comparison:
     return session.comparison(workload, **kwargs)
 
 
+def _built_key(spec) -> Optional[str]:
+    """The workload hash of a cell that builds a workload, else ``None``
+    (a bare workload, a kernel-kind spec, or an unknown generator, whose
+    cell fails on its own)."""
+    from ..scenario.spec import ScenarioSpec
+
+    if not isinstance(spec, ScenarioSpec):
+        return None
+    try:
+        kind = spec.kind
+    except KeyError:
+        return None
+    return spec.workload_hash() if kind == "workload" else None
+
+
 class ExecutionSession:
     """The single execution path for scenario comparisons.
 
@@ -265,6 +281,11 @@ class ExecutionSession:
         #: workload hash -> characterization profiles, while a
         #: :meth:`grid` scope is open (``None`` otherwise).
         self._profiles: Optional[Dict[str, Dict]] = None
+        #: workload hash -> cells of the open :meth:`grid` scopes that
+        #: have not finished (``None`` outside a scope).
+        self._uses: Optional[Dict[str, int]] = None
+        #: workload hash -> a built workload a remaining cell needs.
+        self._built: Optional[Dict[str, Workload]] = None
         #: (artifact key, estimator) -> a run this session's
         #: :meth:`prepass` computed and stored and no comparison has
         #: reported yet, while a :meth:`grid` scope is open (``None``
@@ -303,14 +324,16 @@ class ExecutionSession:
                 setattr(self, name, getattr(self, name) + delta)
 
     def absorb(self, spec, cached: Mapping[str, bool],
-               spec_hash: Optional[str] = None
-               ) -> Dict[str, EstimatorRun]:
+               spec_hash: Optional[str] = None,
+               workload_builds: int = 0) -> Dict[str, EstimatorRun]:
         """Fold one comparison a worker process evaluated into the counters.
 
         ``cached`` says, per estimator, whether the worker replayed its
         run from the store; ``spec`` and ``spec_hash`` name the cell
-        (``spec_hash`` is ``None`` for a bare workload).  A replayed run
-        that this session's :meth:`prepass` computed counts as computed,
+        (``spec_hash`` is ``None`` for a bare workload), and
+        ``workload_builds`` counts the workloads the worker built.  A
+        replayed run that this session's :meth:`prepass` computed counts
+        as computed,
         exactly as :meth:`comparison` counts it in-process, and is
         returned (by estimator) for the caller to report in place of
         the replay.
@@ -328,6 +351,7 @@ class ExecutionSession:
                if "iss" in cached else None)
         self._count(comparisons=1, estimator_runs_cached=replayed,
                     estimator_runs_computed=len(cached) - replayed,
+                    workload_builds=workload_builds,
                     iss_runs_reused=int(iss is True),
                     iss_runs_computed=int(iss is False))
         return claimed
@@ -364,24 +388,32 @@ class ExecutionSession:
     # -- the grid scope -----------------------------------------------
 
     @contextlib.contextmanager
-    def grid(self) -> Iterator[None]:
-        """Scope of one grid evaluation: characterize each workload once.
+    def grid(self, specs: Sequence = ()) -> Iterator[None]:
+        """Scope of one grid evaluation over the cells ``specs``: build
+        and characterize each workload once.
 
         While a scope is open, :meth:`comparison` and :meth:`prepass`
         share one memo of characterization profiles keyed by workload
-        hash, so the cells of a grid that differ only in model or
-        kernel knobs characterize their workload once.  The session
+        hash, and keep a built workload while more of ``specs`` use it:
+        from its first build until the last of its cells finishes (a
+        prepass build while any remains), then drop it with its
+        profiles.  A workload one cell uses is never kept.  The session
         also keeps the runs the scope's prepass computed until a
-        comparison reports each one as computed.  Both are dropped when
-        the outermost scope closes, so they never outgrow the grid
-        being evaluated.  Scopes nest (the service's drain thread and a
-        caller may overlap).
+        comparison reports each one as computed.  Everything is dropped
+        when the outermost scope closes.  Scopes nest (the service's
+        drain thread and a caller may overlap).
         """
+        keys = [key for key in map(_built_key, specs) if key is not None]
         with self._lock:
             if self._grid_depth == 0:
                 self._profiles = {}
                 self._warmed = {}
+                self._uses = {}
+                self._built = {}
             self._grid_depth += 1
+            uses = self._uses
+            for key in keys:
+                uses[key] = uses.get(key, 0) + 1
         try:
             yield
         finally:
@@ -390,6 +422,40 @@ class ExecutionSession:
                 if self._grid_depth == 0:
                     self._profiles = None
                     self._warmed = None
+                    self._uses = None
+                    self._built = None
+
+    def _workload(self, spec, workload_key: Optional[str],
+                  keep_from: int) -> Workload:
+        """Build ``spec``'s workload, or take the one the grid kept.
+
+        A new build is kept when more than ``keep_from`` of the scope's
+        unfinished cells use it: a comparison passes 1 (its own cell),
+        the prepass 0.
+        """
+        with self._lock:
+            if self._built is not None and workload_key in self._built:
+                return self._built[workload_key]
+        workload = spec.build_workload()
+        self._count(workload_builds=1)
+        with self._lock:
+            if (self._built is not None
+                    and self._uses.get(workload_key, 0) > keep_from):
+                self._built.setdefault(workload_key, workload)
+        return workload
+
+    def _finished(self, workload_key: str) -> None:
+        """One cell of the scope using ``workload_key`` is done: drop the
+        kept workload and its profiles after the last one."""
+        with self._lock:
+            uses = self._uses
+            if uses is None or workload_key not in uses:
+                return
+            uses[workload_key] -= 1
+            if uses[workload_key] <= 0:
+                del uses[workload_key]
+                self._built.pop(workload_key, None)
+                self._profiles.pop(workload_key, None)
 
     def _characterize(self, workload_key: Optional[str],
                       build: Callable[[], Workload]) -> Dict:
@@ -491,11 +557,13 @@ class ExecutionSession:
             budget = spec.build_budget()
             if memo_cache is None:
                 memo_cache = spec.build_memo()
-        spec_hash = keys = None
+        spec_hash = keys = workload_key = None
         if spec is not None:
             store = store if store is not None else self.store
             spec_hash = spec.spec_hash()
             keys = artifact_keys(spec, include, spec_hash)
+            if spec.kind == "workload":
+                workload_key = spec.workload_hash()
         else:
             store = None
 
@@ -506,9 +574,12 @@ class ExecutionSession:
 
         def get_workload() -> Workload:
             if "workload" not in state:
-                state["workload"] = (spec.build_workload()
-                                     if spec is not None else workload)
-                self._count(workload_builds=1)
+                if spec is None:
+                    state["workload"] = workload
+                    self._count(workload_builds=1)
+                else:
+                    state["workload"] = self._workload(spec, workload_key,
+                                                       keep_from=1)
             return state["workload"]
 
         def get_profiles():
@@ -517,13 +588,7 @@ class ExecutionSession:
                 # the characterized zero-contention execution cycles
                 # (excluding idle), identical to the cycle engines'
                 # compute+service total.  The profiles are shared with
-                # the whole-run analytical estimator below.  A spec
-                # that reaches here builds its workload, so it is
-                # "workload"-kind and its ISS key is its workload hash.
-                workload_key = None
-                if spec is not None:
-                    workload_key = (keys["iss"] if "iss" in keys
-                                    else spec.workload_hash())
+                # the whole-run analytical estimator below.
                 state["profiles"] = self._characterize(workload_key,
                                                        get_workload)
             return state["profiles"]
@@ -603,6 +668,10 @@ class ExecutionSession:
             if store is not None:
                 store.put(keys[estimator], estimator,
                           _store_payload(keys[estimator], run))
+        if workload_key is not None:
+            # A failed cell may be retried, so only a finished one
+            # lets the grid drop what it kept for it.
+            self._finished(workload_key)
         iss = runs.get("iss")
         self._count(comparisons=1, estimator_runs_computed=computed,
                     estimator_runs_cached=cached,
@@ -677,8 +746,8 @@ class ExecutionSession:
                 counters["cells_skipped"] += 1
                 continue
             try:
-                workload = spec.build_workload()
-                self._count(workload_builds=1)
+                workload = self._workload(spec, spec.workload_hash(),
+                                          keep_from=0)
                 cell_start = time.perf_counter()
                 kernel = build_mesh_kernel(workload,
                                            **spec.kernel_kwargs())
@@ -767,7 +836,7 @@ class ExecutionSession:
             # counters (workload builds included) for the service.
             cell_kwargs["session"] = self
         fn = functools.partial(_comparison_cell, cell_kwargs)
-        with self.grid():
+        with self.grid(items if executor.serial else ()):
             if (batch_cells and self.store is not None and all_specs
                     and "mesh" in kwargs.get("include", ESTIMATORS)):
                 self.prepass(items)

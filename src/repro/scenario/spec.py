@@ -533,8 +533,18 @@ class ScenarioSpec:
         return _canonical(self.to_dict())
 
     def spec_hash(self) -> str:
-        """SHA-256 hex digest of the canonical JSON — the content address."""
-        return _digest(self.canonical_json())
+        """SHA-256 hex digest of the canonical JSON — the content address.
+
+        Computed once per instance: the spec is frozen, so the digest
+        is kept in the instance's ``__dict__``, outside its fields (and
+        so outside :meth:`to_dict`, equality and ``repr``) and dropped
+        when it is pickled.
+        """
+        digest = self.__dict__.get("_spec_hash")
+        if digest is None:
+            digest = _digest(self.canonical_json())
+            object.__setattr__(self, "_spec_hash", digest)
+        return digest
 
     def workload_hash(self) -> str:
         """SHA-256 of the canonical JSON of ``{generator, params}`` only.
@@ -543,12 +553,22 @@ class ScenarioSpec:
         (models, kernel knobs, fault plan, budget, memo) is left out.
         A spec that sets nothing but its generator and params has
         exactly this document, so its workload hash equals its
+        :meth:`spec_hash`.  Computed once per instance, like
         :meth:`spec_hash`.
         """
-        document: Dict[str, object] = {"generator": self.generator}
-        if self.params:
-            document["params"] = dict(self.params)
-        return _digest(_canonical(document))
+        digest = self.__dict__.get("_workload_hash")
+        if digest is None:
+            document: Dict[str, object] = {"generator": self.generator}
+            if self.params:
+                document["params"] = dict(self.params)
+            digest = _digest(_canonical(document))
+            object.__setattr__(self, "_workload_hash", digest)
+        return digest
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fields alone, without the memoized digests."""
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("_spec_hash", "_workload_hash")}
 
     # -- materialization ----------------------------------------------
 

@@ -28,13 +28,13 @@ flag carried on results instead.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 #: Environment variable overriding :func:`code_version` (useful in CI to
 #: key caches on the commit instead of rehashing the tree).
@@ -46,6 +46,12 @@ CODE_VERSION_ENV = "REPRO_CODE_VERSION"
 READ_CACHE_BYTES = 4 << 20
 
 _code_version_cache: Optional[str] = None
+
+#: Flags of a temp-file create: fail rather than reuse an existing name.
+_TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+              | getattr(os, "O_CLOEXEC", 0))
+#: Serial numbers of this process's temp files (thread-safe in CPython).
+_tmp_serial = itertools.count()
 
 
 def code_version() -> str:
@@ -84,7 +90,7 @@ class RunStore:
     tmp_max_age:
         On open, ``*.tmp`` files older than this many seconds — debris
         left by writers that crashed (or were SIGKILLed) between
-        ``mkstemp`` and ``os.replace`` — are deleted by
+        creating their temp file and ``os.replace`` — are deleted by
         :meth:`sweep_tmp`.  The default (60s) never races a live
         writer, whose temp file is at most one JSON dump old.  Pass
         ``None`` to skip the sweep (e.g. short-lived worker-process
@@ -115,6 +121,8 @@ class RunStore:
         #: oldest first, holding ``_read_cache_bytes`` bytes in all.
         self._read_cache: Dict[str, Tuple[Tuple[int, ...], bytes]] = {}
         self._read_cache_bytes = 0
+        #: Artifact directories this handle has made.
+        self._made: Set[str] = set()
         if tmp_max_age is not None:
             self.sweep_tmp(max_age=tmp_max_age)
 
@@ -187,11 +195,20 @@ class RunStore:
 
     def put(self, spec_hash: str, estimator: str,
             payload: Dict) -> Path:
-        """Atomically write one artifact; returns its path."""
-        path = self.path_for(spec_hash, estimator)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        suffix=".tmp")
+        """Atomically write one artifact; returns its path.
+
+        The bytes go to a fresh ``<artifact>.<pid>.<n>.tmp`` file beside
+        the artifact (created exclusively, mode ``0o600`` as
+        ``mkstemp`` makes it) and are renamed over it.  Directories
+        already made by this handle are not made again; if the store
+        tree was removed meanwhile, the write makes it anew.
+        """
+        path = self._artifact(spec_hash, estimator)
+        directory = os.path.dirname(path)
+        if directory not in self._made:
+            os.makedirs(directory, exist_ok=True)
+            self._made.add(directory)
+        fd, tmp_name = self._create_tmp(path, directory)
         try:
             # One encode (the C encoder; ``json.dump`` streams through
             # the pure-Python one) and one write: the same bytes.
@@ -206,7 +223,19 @@ class RunStore:
             raise
         with self._lock:
             self.stores += 1
-        return path
+        return Path(path)
+
+    def _create_tmp(self, path: str, directory: str) -> Tuple[int, str]:
+        """Exclusively create a temp file for ``path``: ``(fd, name)``."""
+        while True:
+            name = f"{path}.{os.getpid()}.{next(_tmp_serial)}.tmp"
+            try:
+                return os.open(name, _TMP_FLAGS, 0o600), name
+            except FileExistsError:  # a crashed writer's debris
+                continue
+            except FileNotFoundError:  # the tree was removed under us
+                os.makedirs(directory, exist_ok=True)
+                self._made.add(directory)
 
     def __contains__(self, key) -> bool:
         """Whether a ``(spec_hash, estimator)`` artifact exists on disk."""
@@ -287,6 +316,7 @@ class RunStore:
         del state["_lock"]
         state["_read_cache"] = {}
         state["_read_cache_bytes"] = 0
+        state["_made"] = set()
         return state
 
     def __setstate__(self, state: Dict) -> None:

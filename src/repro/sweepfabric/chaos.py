@@ -109,9 +109,9 @@ def orphan_tmp_file(store, spec_hash: str, estimator: str = "mesh",
                     payload: Optional[Mapping] = None) -> Path:
     """Drop a stale ``*.tmp`` next to an artifact (killed-writer model).
 
-    Models a writer SIGKILLed between ``mkstemp`` and ``os.replace``;
-    the file is backdated so :meth:`RunStore.sweep_tmp` treats it as
-    abandoned rather than in-flight.
+    Models a writer SIGKILLed between creating its temp file and
+    ``os.replace``; the file is backdated so :meth:`RunStore.sweep_tmp`
+    treats it as abandoned rather than in-flight.
     """
     target = store.path_for(spec_hash, estimator)
     target.parent.mkdir(parents=True, exist_ok=True)

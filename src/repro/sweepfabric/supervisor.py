@@ -174,7 +174,8 @@ class SweepResult:
             lines.append(
                 f"  ground truth: {c['iss_runs_computed']} ISS runs "
                 f"computed, {c['iss_runs_reused']} reused "
-                f"({c['workloads']} workloads)")
+                f"({c['workloads']} workloads), "
+                f"{c['workload_builds']} workload builds")
         lines.extend(self._tally_lines())
         if self.prepass:
             p = self.prepass
@@ -246,7 +247,8 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
     store = RunStore(config["store_root"],
                      version=config["store_version"], tmp_max_age=None)
     include = tuple(config["include"])
-    session = config.get("session") or ExecutionSession()
+    worker = config.get("session") is None
+    session = ExecutionSession() if worker else config["session"]
     comparison = session.comparison(spec, include=include, store=store)
     mesh = comparison.runs.get("mesh")
     mesh_engine, mesh_backend = (_mesh_labels(mesh) if mesh is not None
@@ -257,6 +259,8 @@ def _fabric_cell(config: Dict, spec: ScenarioSpec) -> Dict:
                    for name, run in comparison.runs.items()},
         "mesh_engine": mesh_engine,
         "mesh_backend": mesh_backend,
+        # The supervisor's own session counts in-process builds.
+        "workload_builds": session.workload_builds if worker else 0,
         "runs": {
             name: {"queueing_cycles": run.queueing_cycles,
                    "percent_queueing": run.percent_queueing,
@@ -409,7 +413,7 @@ class SweepSupervisor:
                 if not executor.serial:
                     claimed = self.session.absorb(
                         self.plan.specs[index], ack["cached"],
-                        ack["spec_hash"])
+                        ack["spec_hash"], ack["workload_builds"])
                     if "mesh" in claimed:
                         # The worker replayed what this sweep's prepass
                         # computed: report the prepass's run.
@@ -576,7 +580,10 @@ class SweepSupervisor:
                 "path cannot SIGKILL a worker (there is none), so the "
                 "kill plan would silently not exercise anything")
         try:
-            with self.session.grid():
+            # In-process cells share the grid's workload builds; worker
+            # processes build their own.
+            with self.session.grid(self.plan.specs if executor.serial
+                                   else ()):
                 if self.batch_cells and "mesh" in self.include:
                     self.prepass_counters = self.session.prepass(
                         self.plan.specs)
@@ -616,6 +623,7 @@ class SweepSupervisor:
             "iss_runs_computed": self.session.iss_runs_computed,
             "iss_runs_reused": self.session.iss_runs_reused,
             "workloads": len(self._iss_keys),
+            "workload_builds": self.session.workload_builds,
             "attempts_total": sum(
                 record.attempts
                 for record in self.manifest.records.values()),

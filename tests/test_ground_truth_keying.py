@@ -274,6 +274,79 @@ def _prepass_specs():
             for accesses in (10, 40, 90)]
 
 
+class TestGridBuilds:
+    """A grid scope builds each workload once and keeps it only while
+    a remaining cell needs it."""
+
+    def two_model_grid(self):
+        return [spec for spec in ablation_grid()
+                if spec.model is None or spec.model.name == "mm1"]
+
+    def test_cold_two_model_sweep_builds_each_workload_once(
+            self, tmp_path, monkeypatch):
+        specs = self.two_model_grid()
+        workloads = {spec.workload_hash() for spec in specs}
+        assert len(specs) == 2 * len(workloads)
+        builds = []
+        original = ScenarioSpec.build_workload
+        monkeypatch.setattr(ScenarioSpec, "build_workload",
+                            lambda spec: builds.append(1) or original(spec))
+        result = run_sharded_sweep(specs, tmp_path / "store", shards=2,
+                                   jobs=1)
+        assert result.ok
+        counters = result.counters
+        assert (counters["workload_builds"] == counters["workloads"]
+                == counters["iss_runs_computed"] == len(workloads)
+                == len(builds))
+        assert (f"({len(workloads)} workloads), {len(workloads)} "
+                f"workload builds" in result.summary())
+
+    def test_map_comparisons_builds_each_workload_once(self, tmp_path):
+        specs = self.two_model_grid()
+        workloads = {spec.workload_hash() for spec in specs}
+        with ExecutionSession(store=RunStore(tmp_path / "s")) as session:
+            cells = session.map_comparisons(specs)
+            assert all(cell.ok for cell in cells)
+            assert session.workload_builds == len(workloads)
+            assert session._built is None
+
+    def test_prepass_and_its_cell_share_one_build(self, tmp_path):
+        spec = ablation_grid()[0]
+        with ExecutionSession(store=RunStore(tmp_path / "s")) as session:
+            [cell] = session.map_comparisons([spec], batch_cells=-1)
+            assert cell.ok and not cell.value.runs["mesh"].cached
+            assert session.prepass_totals["cells_batched"] == 1
+            assert session.workload_builds == 1
+
+    def test_a_workload_is_kept_until_its_last_cell(self, tmp_path):
+        specs = self.two_model_grid()
+        base = [spec for spec in specs if spec.model is None]
+        with ExecutionSession(store=RunStore(tmp_path / "s")) as session:
+            with session.grid(specs):
+                for spec in base:
+                    session.comparison(spec)
+                    # Its mm1 cell still needs the build.
+                    assert spec.workload_hash() in session._built
+                for spec in specs:
+                    if spec.model is not None:
+                        session.comparison(spec)
+                        assert spec.workload_hash() not in session._built
+                        assert spec.workload_hash() not in session._profiles
+                assert session._built == {} and session._profiles == {}
+            assert session.workload_builds == len(base)
+
+    def test_an_all_distinct_grid_keeps_no_workload(self, tmp_path):
+        specs = fig5_grid(quick=True)
+        assert len({spec.workload_hash() for spec in specs}) == len(specs)
+        with ExecutionSession(store=RunStore(tmp_path / "s")) as session:
+            with session.grid(specs):
+                for spec in specs:
+                    session.comparison(spec)
+                    assert session._built == {}
+                    assert session._profiles == {}
+            assert session.workload_builds == len(specs)
+
+
 class TestPrepassFailures:
     def test_one_failing_cell_is_counted_and_recomputed(
             self, tmp_path, monkeypatch):

@@ -135,6 +135,42 @@ class TestScenarioSpecRoundTrip:
         assert spec.params["idle_fractions"] == [0.06, 0.9]
 
 
+class TestHashMemo:
+    def spec(self):
+        return ScenarioSpec(generator="uniform",
+                            params={"threads": 2, "seed": 4},
+                            model={"name": "mm1"})
+
+    def test_each_digest_is_computed_once(self, monkeypatch):
+        from repro.scenario import spec as spec_module
+
+        calls = []
+        digest = spec_module._digest
+        monkeypatch.setattr(spec_module, "_digest",
+                            lambda text: calls.append(text) or digest(text))
+        spec = self.spec()
+        assert spec.spec_hash() == spec.spec_hash()
+        assert spec.workload_hash() == spec.workload_hash()
+        assert len(calls) == 2
+
+    def test_memo_stays_outside_the_spec_identity(self):
+        import dataclasses
+        import pickle
+
+        spec, fresh = self.spec(), self.spec()
+        digest = spec.spec_hash()
+        spec.workload_hash()
+        assert spec == fresh and repr(spec) == repr(fresh)
+        assert spec.to_dict() == fresh.to_dict()
+        assert pickle.dumps(spec) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_spec_hash" not in vars(clone)
+        assert clone.spec_hash() == digest
+        changed = dataclasses.replace(spec, min_timeslice=2.0)
+        assert changed.spec_hash() != digest
+        assert changed.workload_hash() == spec.workload_hash()
+
+
 class TestScenarioSpecValidation:
     def test_unknown_field_raises(self):
         with pytest.raises(ConfigurationError):

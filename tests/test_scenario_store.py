@@ -78,6 +78,61 @@ class TestRunStore:
                      for name in names if not name.endswith(".json")]
         assert leftovers == []
 
+    def test_put_recreates_a_tree_removed_under_the_handle(self, tmp_path):
+        import shutil
+
+        store = RunStore(tmp_path / "store")
+        key = spec().spec_hash()
+        store.put(key, "mesh", PAYLOAD)
+        shutil.rmtree(tmp_path / "store")
+        # The handle remembers the directory it made; the put must
+        # notice it is gone and make it again.
+        store.put(key, "mesh", PAYLOAD)
+        store.put(key, "iss", PAYLOAD)
+        assert store.get(key, "mesh") == PAYLOAD
+        assert store.get(key, "iss") == PAYLOAD
+        assert store.orphan_tmp() == 0
+
+    def test_put_writes_mode_0600_bytes_through_a_tmp_name(
+            self, tmp_path, monkeypatch):
+        import json
+
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace",
+                            lambda src, dst: renamed.append(src)
+                            or replace(src, dst))
+        path = store.put(key, "mesh", PAYLOAD)
+        assert path == store.path_for(key, "mesh")
+        assert path.read_bytes() == json.dumps(
+            PAYLOAD, sort_keys=True).encode()
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o600 & ~umask
+        # The temp file sits beside the artifact and ends in ".tmp", so
+        # sweep_tmp reaps a crashed writer's debris.
+        [tmp] = renamed
+        assert tmp.startswith(str(path)) and tmp.endswith(".tmp")
+
+    def test_put_skips_debris_holding_its_tmp_name(self, tmp_path,
+                                                   monkeypatch):
+        import itertools
+
+        from repro.scenario import store as store_module
+
+        store = RunStore(tmp_path)
+        key = spec().spec_hash()
+        path = store.path_for(key, "mesh")
+        path.parent.mkdir(parents=True)
+        debris = Path(f"{path}.{os.getpid()}.0.tmp")
+        debris.write_text("{")
+        monkeypatch.setattr(store_module, "_tmp_serial", itertools.count())
+        store.put(key, "mesh", PAYLOAD)
+        assert store.get(key, "mesh") == PAYLOAD
+        assert debris.read_text() == "{"
+
     def test_code_versions_isolate_artifacts(self, tmp_path):
         key = spec().spec_hash()
         old = RunStore(tmp_path, version="v-old")
