@@ -56,7 +56,7 @@ import contextlib
 import functools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -193,7 +193,7 @@ def _prepass_counters() -> Dict[str, object]:
             "backend_used": {}, "failures": {}, "wall_seconds": 0.0}
 
 
-def _comparison_cell(kwargs: Dict, workload) -> Comparison:
+def _comparison_cell(kwargs: Dict, workload) -> Tuple[Comparison, int]:
     """One batch cell: evaluate a single scenario's comparison.
 
     Module-level so worker pools can import it.  On the serial
@@ -201,15 +201,18 @@ def _comparison_cell(kwargs: Dict, workload) -> Comparison:
     ``"session"`` key, so its counters (workload builds included)
     count exactly; worker *processes* get an ephemeral session
     (sharing only the on-disk stores) instead, and the parent
-    accumulates from the returned comparisons, never from worker-side
-    state.
+    accumulates from the returned comparisons and the worker's
+    workload-build count, never from worker-side state.
     """
     kwargs = dict(kwargs)
     session = kwargs.pop("session", None)
     store = kwargs.pop("store", None)
-    if session is None:
+    worker = session is None
+    if worker:
         session = ExecutionSession(store=store)
-    return session.comparison(workload, **kwargs)
+    comparison = session.comparison(workload, **kwargs)
+    # The parent session counts in-process builds itself.
+    return comparison, session.workload_builds if worker else 0
 
 
 def _built_key(spec) -> Optional[str]:
@@ -844,12 +847,14 @@ class ExecutionSession:
                 results = executor.map_specs(fn, items)
             else:
                 results = executor.map(fn, items)
-            if not serial:
-                for item, result in zip(items, results):
-                    if result.ok:
-                        comparison = result.value
-                        comparison.runs.update(self.absorb(
-                            item, {name: run.cached for name, run
-                                   in comparison.runs.items()},
-                            comparison.spec_hash))
+            for position, (item, result) in enumerate(zip(items, results)):
+                if not result.ok:
+                    continue
+                comparison, builds = result.value
+                results[position] = replace(result, value=comparison)
+                if not serial:
+                    comparison.runs.update(self.absorb(
+                        item, {name: run.cached for name, run
+                               in comparison.runs.items()},
+                        comparison.spec_hash, workload_builds=builds))
         return results

@@ -12,22 +12,13 @@ the hardware allows"):
   quantized :class:`~repro.contention.base.SliceDemand` fingerprints
   consulted by the US scheduler before calling a contention model;
 * :mod:`repro.perf.bench` — JSON benchmark-trajectory recording for
-  ``benchmarks/out/``;
-* :mod:`repro.perf.profile` — hot-path benchmark harness recording
-  ``BENCH_hotpath.json`` (commit throughput, slice-analysis rate,
-  cycle-engine rate, sweep-cell throughput);
-* :mod:`repro.perf.gate` — CI regression gate comparing a fresh bench
-  record against the committed baseline.
+  ``benchmarks/out/``.
 """
 
 from .bench import DEFAULT_OUT_DIR, environment_info, record_bench
 from .memo import MemoStats, SliceMemoCache, model_memo_key
 from .parallel import (TIMEOUT_TAG, CellError, CellResult,
                        ParallelExecutor, resolve_jobs)
-
-# repro.perf.profile and repro.perf.gate are runnable modules
-# (``python -m repro.perf.profile``); import them directly rather than
-# through the package so ``-m`` execution stays warning-free.
 
 __all__ = [
     "CellError", "CellResult", "DEFAULT_OUT_DIR", "MemoStats",

@@ -3,10 +3,8 @@
 The serving stack over the :class:`~repro.engine.session.
 ExecutionSession` facade: a stdlib-asyncio HTTP/JSON server
 (:mod:`~repro.service.server`) with per-tenant token-bucket quotas
-(:mod:`~repro.service.quota`), single-flight coalescing of identical
-cold requests (:mod:`~repro.service.coalesce`), and a closed-loop
-load generator (:mod:`~repro.service.loadgen`) that measures the
-server as the shared resource it is.
+(:mod:`~repro.service.quota`) and single-flight coalescing of
+identical cold requests (:mod:`~repro.service.coalesce`).
 
 Start one with ``python -m repro serve --cache-dir <store>`` and POST
 :class:`~repro.scenario.spec.ScenarioSpec` documents to

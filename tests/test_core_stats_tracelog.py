@@ -4,6 +4,7 @@ import pytest
 
 from repro.contention import ConstantModel, NullModel
 from repro.core import consume
+from repro.core.stats import SimulationResult, ThreadStats
 from repro.core.tracelog import TraceLog
 
 from _helpers import make_kernel, simple_thread
@@ -17,6 +18,19 @@ class TestSimulationResult:
         result = kernel.run()
         assert result.queueing_cycles == pytest.approx(
             result.threads["a"].penalty + result.threads["b"].penalty)
+
+    def test_queueing_and_busy_cycles_are_left_folds(self):
+        """The sums are uncompensated on every CPython: 3.12's float
+        ``sum()`` would return 1.0 here and break the golden bits."""
+        threads = {name: ThreadStats(name, base_time=value, penalty=value,
+                                     regions=1, finish_time=0.0)
+                   for name, value in zip("abc", [1e16, 1.0, -1e16])}
+        result = SimulationResult(makespan=0.0, threads=threads,
+                                  processors={}, resources={},
+                                  slices_analyzed=0, slices_merged=0,
+                                  regions_committed=3)
+        assert result.queueing_cycles == 0.0
+        assert result.busy_cycles == 0.0
 
     def test_percent_queueing_bases(self):
         kernel = make_kernel(2, model=ConstantModel(1.0))

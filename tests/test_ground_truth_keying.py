@@ -310,6 +310,16 @@ class TestGridBuilds:
             assert session.workload_builds == len(workloads)
             assert session._built is None
 
+    def test_pool_workers_report_their_builds(self, tmp_path):
+        specs = ablation_grid()[:2]
+        assert len({spec.workload_hash() for spec in specs}) == 2
+        with ExecutionSession(store=RunStore(tmp_path / "s"),
+                              jobs=2) as session:
+            cells = session.map_comparisons(specs)
+            assert all(cell.ok for cell in cells)
+            assert not any(cell.value.cached_runs for cell in cells)
+            assert session.workload_builds == 2
+
     def test_prepass_and_its_cell_share_one_build(self, tmp_path):
         spec = ablation_grid()[0]
         with ExecutionSession(store=RunStore(tmp_path / "s")) as session:

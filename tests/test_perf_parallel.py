@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -18,6 +19,7 @@ from repro.experiments.runner import run_comparisons_parallel
 from repro.experiments.pareto import evaluate_designs
 from repro.experiments.sweep import run_sweep
 from repro.contention.calibrate import calibrate_model
+from repro.perf.bench import environment_info, record_bench
 from repro.perf.parallel import (CellError, CellResult, ParallelExecutor,
                                  _picklable, resolve_jobs)
 from repro.workloads.synthetic import uniform_workload
@@ -71,6 +73,19 @@ class TestCellResult:
         err = CellError(failed)
         assert err.result is failed
         assert "cell 3" in str(err)
+
+
+class TestRecordBench:
+    def test_record_wraps_payload_with_environment(self, tmp_path):
+        payload = {"speedup": 1.5, "cells": 4}
+        path = record_bench("parallel", payload, out_dir=tmp_path / "o")
+        assert path == tmp_path / "o" / "BENCH_parallel.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["bench"] == "parallel"
+        assert record["results"] == payload
+        assert record["environment"] == environment_info()
+        assert record["environment"]["cpu_count"] >= 1
+        assert record["recorded_at"].endswith("Z")
 
 
 class TestSerialPath:

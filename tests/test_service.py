@@ -460,20 +460,3 @@ class TestPrepassIntegration:
         assert "program_store" not in session
         assert not (root / "programs").exists()
 
-
-class TestLoadgen:
-    def test_bench_records_every_gated_metric(self, server):
-        """The load benchmark reports each metric CI gates, and the
-        warm-efficiency calibration comes from the warm responses."""
-        from repro.service import loadgen
-
-        scenario = loadgen.run_bench("127.0.0.1", server.port, clients=2,
-                                     requests_per_client=3,
-                                     warm_specs=2, fresh_specs=1)
-        for metric in loadgen.GATE_METRICS:
-            name = metric.split(".", 1)[1]
-            assert scenario[name] > 0
-        assert scenario["errors"] == 0
-        assert scenario["calibration_ms"] > 0
-        assert scenario["warm_efficiency"] == pytest.approx(
-            scenario["calibration_ms"] / scenario["warm_seq_p50_ms"])
