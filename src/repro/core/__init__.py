@@ -28,7 +28,7 @@ from .scheduler import (ExecutionScheduler, FifoScheduler,
                         LeastLoadedScheduler, PinnedScheduler,
                         PriorityScheduler, RoundRobinScheduler)
 from .shared import SharedResource
-from .soa import SoAKernelEngine, run_program
+from .soa import run_program
 from .stats import (ProcessorStats, ResourceStats, SimulationResult,
                     ThreadStats)
 from .sync import Barrier, ConditionVariable, Mutex, Semaphore
@@ -47,7 +47,7 @@ __all__ = [
     "ExecutionScheduler", "FifoScheduler", "LeastLoadedScheduler",
     "PinnedScheduler", "PriorityScheduler", "RoundRobinScheduler",
     "HybridKernel", "LogicalThread", "Processor", "SharedResource",
-    "SharedResourceScheduler", "SoAKernelEngine", "SoAProgram",
+    "SharedResourceScheduler", "SoAProgram",
     "ProcessorStats", "ResourceStats", "SimulationResult", "ThreadStats",
     "ThreadState", "TraceEvent", "TraceLog",
     "acquire", "barrier_wait", "cond_notify", "cond_wait", "compile_kernel",

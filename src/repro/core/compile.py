@@ -12,10 +12,9 @@ everything the engine needs into plain arrays:
 * region durations, resolved against processor power at compile time
   whenever the placement is static (pinned threads, or a homogeneous
   processor pool), with the object engine's own arithmetic;
-* resource metadata (service times, ports, models) with exact-type
-  fast-path kernels recognized for
-  :class:`~repro.contention.constant.ConstantModel` and
-  :class:`~repro.contention.constant.NullModel`.
+* resource metadata (service times, ports, models), each model
+  called through ``model.penalties()`` exactly as the object engine
+  calls it.
 
 Everything outside the compiled subset raises
 :class:`~repro.core.errors.UnsupportedFeatureError`; the kernel catches
@@ -94,20 +93,18 @@ class SoAProgram:
 
     Thread-major region streams plus resource metadata; every value is
     a plain Python scalar, list, tuple, or dict so the runtime loop in
-    :class:`~repro.core.soa.SoAKernelEngine` runs allocation-free over
+    :func:`~repro.core.soa.run_program` runs allocation-free over
     native types (at in-flight set sizes of one region per processor,
     array dispatch would cost more than it saves).
     """
 
     __slots__ = (
-        "thread_names", "thread_affinity", "region_counts",
-        "region_durations", "region_complexity", "region_extra",
-        "region_accesses", "region_bursts", "resource_names",
-        "resource_service", "resource_ports", "resource_models",
-        "resource_uses_priorities", "resource_fast", "min_timeslice",
-        "processor_powers", "registered_regions", "has_bursts",
+        "thread_names", "thread_affinity", "region_durations",
+        "region_complexity", "region_extra", "region_accesses",
+        "region_bursts", "resource_names", "resource_service",
+        "resource_ports", "resource_models", "resource_uses_priorities",
+        "min_timeslice", "processor_powers", "registered_regions",
         "thread_ops", "barriers", "barrier_parties", "mutexes",
-        "has_sync",
     )
 
     def __init__(self) -> None:
@@ -115,7 +112,6 @@ class SoAProgram:
         self.thread_names: List[str] = []
         #: Processor index the thread is pinned to, or ``None``.
         self.thread_affinity: List[Optional[int]] = []
-        self.region_counts: List[int] = []
         # -- per-thread region streams ----------------------------------
         #: Pre-resolved region durations (``None`` for unpinned threads
         #: on heterogeneous pools — resolved per placement at runtime).
@@ -133,17 +129,11 @@ class SoAProgram:
         self.resource_ports: List[int] = []
         self.resource_models: List[object] = []
         self.resource_uses_priorities: List[bool] = []
-        #: ``("const", delay)`` / ``("null", None)`` exact-type fast
-        #: kernels, or ``None`` for the generic ``model.penalties`` path.
-        self.resource_fast: List[Optional[Tuple[str, Optional[float]]]] = []
         self.min_timeslice: float = 0.0
         self.processor_powers: List[float] = []
         #: Regions with accesses (the incremental-accounting
         #: ``regions_registered`` counter, known statically).
         self.registered_regions: int = 0
-        #: Whether any region carries burst beat factors (gates the
-        #: flat all-fast analysis mode in the runtime).
-        self.has_bursts: bool = False
         # -- synchronization (the widened compiled subset) ---------------
         #: Per-thread ``(opcode, arg)`` streams.  ``OP_REGION`` args are
         #: thread-local region indices into the region arrays above; the
@@ -156,9 +146,6 @@ class SoAProgram:
         #: Live :class:`~repro.core.sync.Mutex` objects, in first-use
         #: order (contended-acquire counts are written back).
         self.mutexes: List[object] = []
-        #: Whether any op stream contains a sync opcode (selects the
-        #: sync-aware scheduling path in the runtime).
-        self.has_sync: bool = False
 
 
 def compile_kernel(kernel) -> SoAProgram:
@@ -194,8 +181,6 @@ def compile_kernel(kernel) -> SoAProgram:
                        for index, processor in enumerate(kernel.processors)}
 
     resource_index: Dict[str, int] = {}
-    from ..contention.constant import ConstantModel, NullModel
-
     for index, resource in enumerate(kernel.shared_resources):
         resource_index[resource.name] = index
         program.resource_names.append(resource.name)
@@ -204,14 +189,6 @@ def compile_kernel(kernel) -> SoAProgram:
         model = resource.model
         program.resource_models.append(model)
         program.resource_uses_priorities.append(model.uses_priorities)
-        # Exact types only: subclasses (and GuardedModel wrappers) may
-        # observe their calls, so they keep the generic dispatch.
-        if type(model) is NullModel:
-            program.resource_fast.append(("null", None))
-        elif type(model) is ConstantModel:
-            program.resource_fast.append(("const", model.delay))
-        else:
-            program.resource_fast.append(None)
 
     for thread in kernel.threads:
         if thread._gen is not None or not callable(thread._body):
@@ -287,7 +264,6 @@ def compile_kernel(kernel) -> SoAProgram:
                         )
                     holding = None
                     ops.append((OP_RELEASE, index))
-                program.has_sync = True
                 continue
             ops.append((OP_REGION, len(complexity)))
             complexity.append(event.complexity)
@@ -310,7 +286,6 @@ def compile_kernel(kernel) -> SoAProgram:
                 bursts.append({resource_index[name]: beats
                                for name, beats in event.burst.items()
                                if name in resource_index})
-                program.has_bursts = True
             else:
                 bursts.append(None)
         if holding is not None:
@@ -320,7 +295,6 @@ def compile_kernel(kernel) -> SoAProgram:
         for index, count in my_arrivals.items():
             barrier_arrivals[index].append(count)
         program.thread_ops.append(ops)
-        program.region_counts.append(len(complexity))
         program.region_complexity.append(complexity)
         program.region_extra.append(extra)
         program.region_accesses.append(accesses)

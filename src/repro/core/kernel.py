@@ -230,18 +230,13 @@ class HybridKernel:
         Returns the :class:`~repro.core.stats.SimulationResult`.  Raises
         :class:`DeadlockError` if blocked threads can never be woken.
 
-        Semantically equivalent to draining :meth:`steps`, but runs the
-        commit loop directly — no generator suspension per region — so
-        batch experiments (sweeps, benchmarks) pay no observer overhead.
-
         With ``engine="soa"`` the scenario is first lowered by
         :func:`~repro.core.compile.compile_kernel`; on success the
         array engine executes it (bit-identical result), on
-        :class:`UnsupportedFeatureError` the object loop below runs
-        instead with the reason recorded in
-        :attr:`engine_fallback_reason` — the compile probe reads thread
-        bodies through fresh generators, so the fallback re-runs
-        nothing and builds nothing twice.
+        :class:`UnsupportedFeatureError` the object loop runs instead
+        with the reason recorded in :attr:`engine_fallback_reason` —
+        the compile probe reads thread bodies through fresh generators,
+        so the fallback re-runs nothing and builds nothing twice.
         """
         if self._ran:
             raise SimulationError("kernel instances are single-shot; "
@@ -259,39 +254,8 @@ class HybridKernel:
                 else:
                     return self._replay(program)
         self._ran = True
-        meter = self.budget.start() if self.budget is not None else None
-        queue = self._queue
-        scheduler = self.scheduler
-        unbounded = meter is None and until is None
-        while True:
-            if not unbounded:
-                if meter is not None:
-                    reason = meter.check(self.now, self.regions_committed)
-                    if reason is not None:
-                        raise BudgetExceededError(
-                            reason, partial_result=build_result(self),
-                            budget=self.budget)
-                if until is not None and self.now >= until:
-                    break
-            self._fill_processors()
-            if queue:
-                self._commit(self._pop_with_penalties())
-                continue
-            # No in-flight regions: either idle-jump, deadlock, or done.
-            if scheduler.has_waiting():
-                next_release = scheduler.earliest_release()
-                if next_release is not None and next_release > self.now + _EPS:
-                    self.now = next_release
-                    continue
-                raise SimulationError(
-                    "internal error: eligible threads could not be placed "
-                    "on an idle platform"
-                )
-            if self._blocked:
-                raise DeadlockError(self._blocked)
-            break
-        self._flush_final_slice()
-        self._finished = True
+        for _region in self._commit_loop(until):
+            pass
         return self.result()
 
     def _replay(self, program):
@@ -326,26 +290,39 @@ class HybridKernel:
             # Stepwise observation needs live region objects; route to
             # the object loop with the reason recorded.
             self.engine_fallback_reason = "stepwise observation (steps())"
+        yield from self._commit_loop(until)
+
+    def _commit_loop(self, until: Optional[float]):
+        """The object engine's Fig. 2 loop, yielding each committed region.
+
+        Fill, pop, commit, idle-jump or deadlock check, until no work is
+        left (or ``until`` is reached); then flushes the final analysis
+        window and marks the kernel finished.
+        """
         meter = self.budget.start() if self.budget is not None else None
+        queue = self._queue
+        scheduler = self.scheduler
+        unbounded = meter is None and until is None
         while True:
-            if meter is not None:
-                reason = meter.check(self.now, self.regions_committed)
-                if reason is not None:
-                    raise BudgetExceededError(
-                        reason, partial_result=build_result(self),
-                        budget=self.budget)
-            if until is not None and self.now >= until:
-                break
+            if not unbounded:
+                if meter is not None:
+                    reason = meter.check(self.now, self.regions_committed)
+                    if reason is not None:
+                        raise BudgetExceededError(
+                            reason, partial_result=build_result(self),
+                            budget=self.budget)
+                if until is not None and self.now >= until:
+                    break
             self._fill_processors()
-            if self._queue:
+            if queue:
                 region = self._pop_with_penalties()
                 self._commit(region)
                 if region.committed:
                     yield region
                 continue
             # No in-flight regions: either idle-jump, deadlock, or done.
-            if self.scheduler.has_waiting():
-                next_release = self.scheduler.earliest_release()
+            if scheduler.has_waiting():
+                next_release = scheduler.earliest_release()
                 if next_release is not None and next_release > self.now + _EPS:
                     self.now = next_release
                     continue

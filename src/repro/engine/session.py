@@ -12,8 +12,6 @@ needs:
 * one persistent warm :class:`~repro.perf.parallel.ParallelExecutor`
   pool, reused across :meth:`map_comparisons` calls instead of being
   respawned per batch;
-* the execution-only ``iss_engine`` selection default (never part of
-  any spec hash);
 * thread-safe counters (comparisons evaluated, estimator runs computed
   vs replayed, ISS runs computed vs reused, workload builds, prepass
   totals and failures) that a long-running service exposes on its
@@ -63,7 +61,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 from ..analytical import characterize, estimate_queueing
 from ..contention.base import ContentionModel
 from ..core.errors import ConfigurationError
-from ..cycle import EventEngine, SteppedEngine
+from ..cycle import EventEngine
 from ..perf.parallel import CellResult, ParallelExecutor
 from ..workloads.to_mesh import run_hybrid
 from ..workloads.trace import Workload
@@ -239,11 +237,6 @@ class ExecutionSession:
         Optional :class:`~repro.scenario.store.RunStore` (or its root
         path).  The session probes it before running anything and
         commits every computed estimator payload back.
-    iss_engine:
-        Session-wide ground-truth engine (``"event"`` or
-        ``"stepped"``), overridable per call.  A pure execution knob:
-        never part of any spec hash, and both engines are
-        bit-identical.
     jobs:
         Worker count of the session's persistent warm pool
         (``0`` = one per CPU, ``1`` = serial in-process).  The pool is
@@ -256,13 +249,11 @@ class ExecutionSession:
     """
 
     def __init__(self, store=None,
-                 iss_engine: str = "event",
                  jobs: int = 1,
                  batch_cells: int = 0):
         from ..scenario.store import as_store
 
         self.store = as_store(store)
-        self.iss_engine = iss_engine
         self.jobs = jobs
         self.batch_cells = batch_cells
         self._executor: Optional[ParallelExecutor] = None
@@ -510,7 +501,6 @@ class ExecutionSession:
                    model: Optional[ContentionModel] = None,
                    min_timeslice: float = 0.0,
                    annotation: str = "phase",
-                   iss_engine: Optional[str] = None,
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
@@ -522,15 +512,11 @@ class ExecutionSession:
         :func:`~repro.experiments.runner.run_comparison` for the full
         parameter documentation): probe the run store per estimator
         under its :func:`artifact_keys` key, run the misses, and commit
-        each computed payload back to the store.  ``iss_engine``
-        defaults to the session-wide setting when not passed.
-        ``store`` is
-        another handle on the session's store directory (the sweep's
+        each computed payload back to the store.  ``store`` is another
+        handle on the session's store directory (the sweep's
         in-process cells use one, so the supervisor's own handle counts
         its probe alone); it defaults to the session's.
         """
-        iss_engine = (iss_engine if iss_engine is not None
-                      else self.iss_engine)
         spec = None
         if not isinstance(workload, Workload):
             from ..scenario.spec import ScenarioSpec
@@ -625,10 +611,8 @@ class ExecutionSession:
                     cached += 1
                     continue
             if estimator == "iss":
-                engine_cls = (SteppedEngine if iss_engine == "stepped"
-                              else EventEngine)
                 start = time.perf_counter()
-                result = engine_cls(get_workload(), budget=budget).run()
+                result = EventEngine(get_workload(), budget=budget).run()
                 elapsed = time.perf_counter() - start
                 queueing = float(result.queueing_cycles)
             elif estimator == "mesh":
@@ -830,7 +814,6 @@ class ExecutionSession:
         all_specs = items and not any(isinstance(item, Workload)
                                       for item in items)
         cell_kwargs = dict(kwargs)
-        cell_kwargs.setdefault("iss_engine", self.iss_engine)
         cell_kwargs["store"] = self.store
         executor = self.executor
         serial = executor.serial

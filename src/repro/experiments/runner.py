@@ -64,7 +64,6 @@ def run_comparison(workload,
                    model: Optional[ContentionModel] = None,
                    min_timeslice: float = 0.0,
                    annotation: str = "phase",
-                   iss_engine: str = "event",
                    include: Sequence[str] = ESTIMATORS,
                    fault_plan=None,
                    budget=None,
@@ -84,9 +83,6 @@ def run_comparison(workload,
     model:
         Contention model shared by the hybrid and analytical estimators
         (the paper applies the *same* Chen-Lin model both ways).
-    iss_engine:
-        ``"event"`` (fast, exact) or ``"stepped"`` (the honest per-cycle
-        loop used for runtime comparisons).
     fault_plan:
         Optional :class:`~repro.robustness.faults.FaultPlan` applied to
         the hybrid estimator only — the cycle engines and the whole-run
@@ -113,7 +109,7 @@ def run_comparison(workload,
     return session.comparison(workload, model=model,
                               min_timeslice=min_timeslice,
                               annotation=annotation,
-                              iss_engine=iss_engine, include=include,
+                              include=include,
                               fault_plan=fault_plan, budget=budget,
                               memo_cache=memo_cache)
 

@@ -41,7 +41,7 @@ def comparisons_for_specs(specs: Sequence[ScenarioSpec],
     failed cell raises :class:`~repro.perf.parallel.CellError` (whose
     message carries the cell's spec hash), matching the behavior the
     figure scripts had with ``ParallelExecutor.run``.  Extra keyword
-    arguments (``include=...``, ``iss_engine=...``, ...) are forwarded
+    arguments (``include=...``, ``budget=...``, ...) are forwarded
     verbatim to :func:`~repro.experiments.runner.run_comparison`.
     """
     from ..perf.parallel import CellError

@@ -26,7 +26,7 @@ from repro.core.events import acquire, barrier_wait, consume, release
 SOA_GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "data" / (
     "golden_soa.json")
 
-#: Exercise both the fused (0.0) and window-merged replay paths.
+#: Analyze every window (0.0) and merge undersized windows (6.0).
 MIN_TIMESLICES = (0.0, 6.0)
 
 

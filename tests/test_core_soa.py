@@ -3,9 +3,9 @@
 Three layers of defense around ``HybridKernel(engine="soa")``:
 
 * **Direct equivalence** — hand-built kernels spanning the compiled
-  subset (flat/fused constant-model paths, generic dict-dispatch
-  models, bursts, window merging, heterogeneous powers, pinned
-  scheduling) must produce hex-identical snapshots under both engines.
+  subset (exact Constant/Null models, closed-form queueing models,
+  bursts, window merging, heterogeneous powers, pinned scheduling)
+  must produce hex-identical snapshots under both engines.
 * **Property-based equivalence** — hypothesis draws random
   :class:`~repro.scenario.spec.ScenarioSpec` instances (synthetic
   generators x every registered closed-form model, fault plans off)
@@ -37,7 +37,8 @@ from golden_soa_scenarios import (SOA_GOLDEN_PATH, iter_soa_configs,
                                   soa_config_key, soa_kernel,
                                   soa_snapshot)
 from repro.contention import (ChenLinModel, ConstantModel, MD1Model,
-                              MM1Model, NullModel, available_models)
+                              MM1Model, NullModel, available_models,
+                              make_model)
 from repro.core import (HybridKernel, LogicalThread, Processor,
                         SharedResource, compile_kernel, run_program)
 from repro.core.errors import (ConfigurationError,
@@ -45,7 +46,6 @@ from repro.core.errors import (ConfigurationError,
 from repro.core.events import (acquire, barrier_wait, consume, release,
                                sem_acquire, sem_release, spawn)
 from repro.core.scheduler import PinnedScheduler, PriorityScheduler
-from repro.core.soa import SoAKernelEngine
 from repro.core.sync import Barrier, Mutex, Semaphore
 from repro.perf.memo import SliceMemoCache
 from repro.robustness.budget import RunBudget
@@ -111,7 +111,7 @@ def _threads(kernel, n, resources, stride=1, start_gaps=False,
 
 
 def _fused(**kw):
-    """Exact-type Constant/Null models, no merging: the fused path."""
+    """Exact-type Constant/Null models, every window analyzed."""
     procs = [Processor("p0", 1.0), Processor("p1", 1.0)]
     res = [SharedResource("bus", ConstantModel(0.5), service_time=2.0),
            SharedResource("mem", NullModel(), service_time=3.0)]
@@ -120,13 +120,13 @@ def _fused(**kw):
 
 
 def _flat_merged(**kw):
-    """Constant models with window merging: flat but not fused."""
+    """Exact-type Constant/Null models with window merging."""
     kw.setdefault("min_timeslice", 6.0)
     return _fused(**kw)
 
 
 def _generic(**kw):
-    """Closed-form queueing models: the dict-dispatch path."""
+    """Closed-form queueing models (Chen-Lin, M/M/1, M/D/1)."""
     procs = [Processor("p0", 1.0), Processor("p1", 1.0)]
     res = [SharedResource("bus", ChenLinModel(), service_time=2.0),
            SharedResource("mem", MM1Model(), service_time=3.0),
@@ -262,7 +262,7 @@ def test_program_replay_is_bit_identical():
     program = compile_kernel(_fused())
     reference = _fused().run()
     for _ in range(2):
-        replay = SoAKernelEngine(_fused(), program).run()
+        replay = run_program(_fused(), program)
         assert replay == reference
 
 
@@ -580,6 +580,59 @@ def test_random_specs_bit_identical(spec):
     assert soa.makespan.hex() == obj.makespan.hex()
     for name, thread in soa.threads.items():
         assert thread.penalty.hex() == obj.threads[name].penalty.hex()
+
+
+def _slice_fields(demand):
+    """A :class:`SliceDemand` as a tuple, floats in hex (bit identity)."""
+    _hex = lambda v: float(v).hex()  # noqa: E731
+    return (_hex(demand.start), _hex(demand.end),
+            _hex(demand.service_time),
+            [(name, _hex(count)) for name, count in demand.demands.items()],
+            sorted(demand.priorities.items()), demand.ports,
+            [(name, _hex(value))
+             for name, value in demand.mean_service.items()])
+
+
+def _recorded_kernel(model_name, **kw):
+    """Two resources under one registered model, bursts on the first."""
+    procs = [Processor("p0", 1.0), Processor("p1", 1.0)]
+    res = [SharedResource("bus", make_model(model_name), service_time=2.0),
+           SharedResource("mem", make_model(model_name), service_time=3.0,
+                          ports=2)]
+    return _threads(HybridKernel(procs, res, **kw), 4, ["bus", "mem"],
+                    start_gaps=True, bursts=True)
+
+
+@pytest.mark.parametrize("min_timeslice", [0.0, 6.0])
+@pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
+def test_soa_makes_the_object_engines_model_calls(name, min_timeslice,
+                                                   monkeypatch):
+    """Both engines call ``model.penalties`` with the same slices.
+
+    Every registered closed-form model, exact ``ConstantModel`` and
+    ``NullModel`` included, is called once per demanding resource per
+    analyzed window, in the same order and with bit-identical
+    :class:`SliceDemand` fields, whichever engine runs the kernel.
+    """
+    cls = type(make_model(name))
+    original = cls.penalties
+    calls = []
+
+    def recording(self, demand):
+        calls.append(_slice_fields(demand))
+        return original(self, demand)
+
+    monkeypatch.setattr(cls, "penalties", recording)
+    obj = _recorded_kernel(name, min_timeslice=min_timeslice).run()
+    obj_calls = list(calls)
+    calls.clear()
+    soa = _recorded_kernel(name, engine="soa",
+                           min_timeslice=min_timeslice).run()
+    assert obj.engine_used == "object"
+    assert soa.engine_used == "soa"
+    assert obj_calls
+    assert calls == obj_calls
+    assert result_snapshot(soa) == result_snapshot(obj)
 
 
 _SYNC_MODELS = st.sampled_from(["constant", "null", "chenlin"]).map(
